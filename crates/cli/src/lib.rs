@@ -14,8 +14,10 @@
 //!
 //! Every anonymization arm routes through the unified
 //! [`disassociation::pipeline::Pipeline`] API — a [`RecordSource`] per input
-//! kind (file, store, in-memory), a [`ChunkSink`] per output, `--threads N`
-//! for parallel batch execution — and errors stay typed end to end:
+//! kind (file, store, in-memory), `--threads N` for parallel batch
+//! execution — and `anonymize`/`append` publish through
+//! [`disassoc_store::ops`], the dataset-operations layer the daemon shares.
+//! Errors stay typed end to end:
 //! [`CliError`] preserves the cause chain, usage errors exit with status 2,
 //! runtime (I/O, store, pipeline) errors with status 1.
 //!
@@ -27,14 +29,10 @@
 
 use datagen::{QuestConfig, QuestGenerator, RealDataset};
 use disassoc_obs::trace::Attr;
-use disassoc_store::{ChunkDir, Store, StoreConfig};
-use disassociation::pipeline::{
-    ChunkSink, CollectSink, DatasetSource, JsonChunksSink, Pipeline, ReaderSource, RecordSource,
-    RunSummary,
-};
+use disassoc_store::{ops, ChunkDir, Store, StoreConfig};
+use disassociation::pipeline::{CollectSink, DatasetSource, Pipeline, ReaderSource, RecordSource};
 use disassociation::{
     reconstruct_many, AppendOptions, ConfigError, DisassociationConfig, DisassociationOutput,
-    IncrementalPipeline,
 };
 use metrics::{InformationLoss, LossConfig};
 use std::collections::BTreeMap;
@@ -269,7 +267,7 @@ impl ObsSession {
     }
 
     /// Tears collection down on an error path without writing any outputs.
-    fn abort(self) {
+    fn abort(&self) {
         if self.options.is_some() {
             disassoc_obs::metrics::disable();
             disassoc_obs::trace::shutdown().ok();
@@ -381,9 +379,13 @@ impl From<disassociation::SourceError> for CliError {
         CliError::Pipeline(disassociation::Error::Source(e))
     }
 }
-impl From<disassociation::SinkError> for CliError {
-    fn from(e: disassociation::SinkError) -> Self {
-        CliError::Pipeline(disassociation::Error::Sink(e))
+impl From<ops::OpsError> for CliError {
+    fn from(e: ops::OpsError) -> Self {
+        match e {
+            ops::OpsError::Pipeline(disassociation::Error::Config(c)) => CliError::Config(c),
+            ops::OpsError::Pipeline(e) => CliError::Pipeline(e),
+            ops::OpsError::Store(e) => CliError::Store(e),
+        }
     }
 }
 
@@ -698,37 +700,14 @@ impl Command {
                 // The chunk file is streamed batch by batch: together with
                 // the chunked sources this bounds BOTH original-record and
                 // published-chunk residency by the batch size, not the
-                // dataset size.  The stream goes to a `.partial` sibling
-                // that replaces `chunks_path` only after a successful run:
-                // a failed run never destroys an existing publication, a
-                // missing input leaves no stray output at all (the sink is
-                // created only after the source opened), and an aborted
-                // partial file is removed rather than left looking valid.
-                let partial_path = out_prefix.with_extension("chunks.json.partial");
-                let mut stats = None;
-                let result = with_source(input.as_deref(), store.as_deref(), *batch_size, |src| {
-                    let mut sink = JsonChunksSink::create(&partial_path, &config)?;
-                    let summary = run_pipeline(&config, src, &mut sink, *threads)?;
-                    stats = Some(*sink.stats());
-                    Ok(summary)
-                });
-                let summary = match result {
-                    Ok(summary) => summary,
-                    Err(e) => {
-                        std::fs::remove_file(&partial_path).ok();
-                        session.abort();
-                        return Err(e);
-                    }
-                };
-                if let Err(e) =
-                    disassoc_store::publish::commit_flat_file(&partial_path, &chunks_path)
-                {
-                    std::fs::remove_file(&partial_path).ok();
-                    session.abort();
-                    return Err(e.into());
-                }
-                // lint:allow(panic, "stats are recorded on every Ok path of the run closure above")
-                let stats = stats.expect("a successful run records its stats");
+                // dataset size.  The sink is created only after the source
+                // opened, so a missing input leaves no stray output, and a
+                // failed run never replaces an existing publication.
+                let (summary, stats) =
+                    with_source(input.as_deref(), store.as_deref(), *batch_size, |src| {
+                        Ok(ops::anonymize(src, &config, *threads, None, &chunks_path)?)
+                    })
+                    .inspect_err(|_| session.abort())?;
                 writeln!(
                     out,
                     "anonymized {} records into {} simple clusters ({} record chunks, {} shared chunks) in {:.2}s",
@@ -783,14 +762,6 @@ impl Command {
                 } else {
                     *batch_size
                 };
-                // Rebuild the incremental state from the store's current
-                // contents, then route the appended records into it: only
-                // the clusters they land in are re-anonymized, and only the
-                // batches holding those clusters are republished.
-                let mut pipeline = {
-                    let mut source = st.source(size);
-                    IncrementalPipeline::build(config.clone(), &mut source)?
-                };
                 let mut reader = ReaderSource::open(input, 0)?;
                 let mut new_records: Vec<Record> = Vec::new();
                 while let Some(batch) = reader.next_batch()? {
@@ -799,9 +770,22 @@ impl Command {
                 let options = AppendOptions {
                     max_dirty_fraction: *max_dirty_fraction,
                 };
-                let outcome = pipeline.append_with(&new_records, &options);
-                st.append_batch(&new_records)?;
-                st.flush()?;
+                let mut chunks = publish.as_deref().map(ChunkDir::open).transpose()?;
+                let before = chunks.as_ref().map(ChunkDir::generations);
+                let chunks_path = out_prefix.as_ref().map(|p| p.with_extension("chunks.json"));
+                // Only the clusters the new records land in are
+                // re-anonymized; the chunk dir rewrites only the batch files
+                // whose content actually changed.
+                let outcome = ops::append(
+                    &mut st,
+                    &config,
+                    size,
+                    &new_records,
+                    &options,
+                    chunks.as_mut(),
+                    chunks_path.as_deref(),
+                )
+                .inspect_err(|_| session.abort())?;
                 writeln!(
                     out,
                     "appended {} records: {} clusters re-anonymized, {} reused untouched, \
@@ -814,50 +798,20 @@ impl Command {
                     outcome.total_clusters,
                     t0.elapsed().as_secs_f64()
                 )?;
-                if let Some(dir) = publish {
-                    let mut chunks = ChunkDir::open(dir)?;
-                    let before: std::collections::HashMap<usize, u64> =
-                        chunks.generations().into_iter().collect();
-                    // Deliver the dirty batches (a fresh process rebuilds
-                    // with every batch dirty); the chunk dir skips any batch
-                    // whose committed file already holds identical content,
-                    // so only real changes hit the disk and the clean files
-                    // stay byte-identical.
-                    if chunks.is_empty() {
-                        pipeline.publish_all(&mut chunks)?;
-                    } else {
-                        pipeline.publish_dirty(&mut chunks)?;
-                    }
-                    let rewritten = chunks
-                        .generations()
-                        .into_iter()
-                        .filter(|(batch, generation)| before.get(batch) != Some(generation))
-                        .count();
+                if let (Some(dir), Some(chunks), Some(before)) = (publish, &chunks, before) {
+                    // A batch whose (index, generation) pair did not move
+                    // kept its committed file.
+                    let after = chunks.generations();
+                    let rewritten = after.iter().filter(|g| !before.contains(g)).count();
                     writeln!(
                         out,
                         "republished {rewritten} of {} batches to {}",
-                        pipeline.batch_count(),
+                        after.len(),
                         dir.display()
                     )?;
                 }
-                if let Some(prefix) = out_prefix {
-                    let chunks_path = prefix.with_extension("chunks.json");
-                    let partial_path = prefix.with_extension("chunks.json.partial");
-                    let result = (|| -> Result<(), CliError> {
-                        let mut sink = JsonChunksSink::create(&partial_path, &config)?;
-                        pipeline.publish_all(&mut sink)?;
-                        Ok(())
-                    })();
-                    let result = result.and_then(|()| {
-                        disassoc_store::publish::commit_flat_file(&partial_path, &chunks_path)
-                            .map_err(CliError::from)
-                    });
-                    if let Err(e) = result {
-                        std::fs::remove_file(&partial_path).ok();
-                        session.abort();
-                        return Err(e);
-                    }
-                    writeln!(out, "published chunks: {}", chunks_path.display())?;
+                if let Some(path) = chunks_path {
+                    writeln!(out, "published chunks: {}", path.display())?;
                 }
                 session.finish(out)?;
                 Ok(())
@@ -1025,7 +979,11 @@ impl Command {
                     };
                     let mut source = DatasetSource::new(&dataset, effective_batch);
                     let mut sink = CollectSink::for_config(&config);
-                    run_pipeline(&config, &mut source, &mut sink, *threads)?;
+                    Pipeline::new(config.clone())
+                        .source(&mut source)
+                        .sink(&mut sink)
+                        .threads(*threads)
+                        .run()?;
                     let output: DisassociationOutput = sink.into_output();
                     Ok(InformationLoss::evaluate(
                         &dataset,
@@ -1093,20 +1051,6 @@ impl Command {
             }
         }
     }
-}
-
-/// Runs a fully-configured pipeline over an already-built source and sink.
-fn run_pipeline(
-    config: &DisassociationConfig,
-    source: &mut dyn RecordSource,
-    sink: &mut dyn ChunkSink,
-    threads: usize,
-) -> Result<RunSummary, CliError> {
-    Ok(Pipeline::new(config.clone())
-        .source(source)
-        .sink(sink)
-        .threads(threads)
-        .run()?)
 }
 
 /// Builds the [`RecordSource`] matching the `--input FILE` / `--store DIR`

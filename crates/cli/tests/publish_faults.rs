@@ -1,13 +1,13 @@
 //! Process-level tests of the CLI's flat-file publication seam: armed via
 //! the `DISASSOC_FAULTS` environment, `disassoc anonymize --out` must hit
-//! the `cli.publish.*` failpoints in a real process, and a publication that
+//! the `store.publish.flat.*` failpoints in a real process, and a publication that
 //! crashes at the rename commit point must leave the previous publication
 //! byte-for-byte intact (old-or-new, never a mix).
 //!
 //! These complement the in-tree matrix in `tests/torture_store.rs` (which
-//! exercises `publish::commit_flat_file` directly): here the whole binary
-//! runs, so the seam wiring from `Command::run` down to the rename is what
-//! is under test.
+//! exercises `disassoc_store::ops::anonymize` in process): here the whole
+//! binary runs, so the seam wiring from `Command::run` down to the rename is
+//! what is under test.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -79,7 +79,10 @@ fn a_crashed_rename_commit_preserves_the_previous_publication() {
     // Generation 2 crashes at the rename commit point.  The old
     // publication must survive byte-for-byte and no stray partial may be
     // left behind looking like output.
-    for spec in ["cli.publish.rename=error", "cli.publish.sync=error"] {
+    for spec in [
+        "store.publish.flat.rename=error",
+        "store.publish.flat.sync=error",
+    ] {
         let crashed = anonymize(&input, &out_prefix, Some(spec));
         assert!(
             !crashed.status.success(),
@@ -113,7 +116,11 @@ fn a_crashed_rename_commit_preserves_the_previous_publication() {
 fn a_bad_fault_spec_is_a_usage_error() {
     let dir = tmpdir("bad_spec");
     let input = generate_input(&dir);
-    let out = anonymize(&input, &dir.join("pub"), Some("cli.publish.rename=bogus"));
+    let out = anonymize(
+        &input,
+        &dir.join("pub"),
+        Some("store.publish.flat.rename=bogus"),
+    );
     assert_eq!(
         out.status.code(),
         Some(2),

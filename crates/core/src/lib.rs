@@ -49,10 +49,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The legacy `stream` shims stay available to external callers, but nothing
-// inside this crate may regress onto them (their own tests opt back in with
-// a scoped `allow`); CI additionally greps the whole workspace.
-#![deny(deprecated)]
 
 pub mod anonymity;
 pub mod diversity;
@@ -64,7 +60,6 @@ pub mod pipeline;
 pub mod query;
 pub mod reconstruct;
 pub mod refine;
-pub mod stream;
 pub mod verify;
 pub mod verpart;
 

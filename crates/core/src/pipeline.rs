@@ -150,8 +150,7 @@ pub struct RunSummary {
 /// batch, not a second copy of the dataset (`batch_size == 0` means a single
 /// batch).
 ///
-/// Also an [`Iterator`] of `Vec<Record>`, so it plugs into the legacy
-/// [`crate::stream::stream_anonymize`] shims unchanged.
+/// Also an [`Iterator`] of `Vec<Record>`.
 #[derive(Debug, Clone)]
 pub struct DatasetSource<'a> {
     records: &'a [Record],
@@ -383,8 +382,7 @@ impl ChunkSink for CollectSink {
     }
 }
 
-/// Wraps an infallible callback as a [`ChunkSink`] (the adapter behind the
-/// legacy [`crate::stream::stream_anonymize`] shim).
+/// Wraps an infallible callback as a [`ChunkSink`].
 #[derive(Debug)]
 pub struct FnSink<F: FnMut(BatchOutput)> {
     f: F,
@@ -1242,6 +1240,53 @@ mod tests {
             .unwrap();
         assert_eq!(summary, RunSummary::default());
         assert_eq!(sink.into_output().dataset.total_records(), 0);
+    }
+
+    fn collect_from(source: &mut dyn RecordSource) -> (DisassociationOutput, RunSummary) {
+        let mut sink = CollectSink::for_config(&config());
+        let summary = Pipeline::new(config())
+            .source(source)
+            .sink(&mut sink)
+            .run()
+            .unwrap();
+        (sink.into_output(), summary)
+    }
+
+    #[test]
+    fn batched_output_is_source_independent() {
+        // A lazy DatasetSource and pre-materialized chunks yielding the same
+        // record sequence publish identical datasets.
+        let d = workload(50);
+        let (a, _) = collect_from(&mut DatasetSource::new(&d, 16));
+        let batches: Vec<Vec<Record>> = d.records().chunks(16).map(<[Record]>::to_vec).collect();
+        let (b, _) = collect_from(&mut IterSource::new(batches));
+        assert_eq!(a.dataset, b.dataset);
+        assert_eq!(a.cluster_assignment, b.cluster_assignment);
+    }
+
+    #[test]
+    fn every_batch_passes_verification_and_covers_all_records() {
+        let d = workload(64);
+        let (out, summary) = collect_from(&mut DatasetSource::new(&d, 20));
+        assert_eq!(summary.batches, 4);
+        assert_eq!(summary.peak_batch_records, 20);
+        assert_eq!(out.dataset.total_records(), 64);
+        assert!(crate::verify::verify_structure(&out.dataset).is_ok());
+        // The assignment is a permutation of all stream ordinals.
+        let mut all: Vec<usize> = out.cluster_assignment.iter().flatten().copied().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..64).collect::<Vec<_>>());
+        // The attack surface check also holds against the original records.
+        let attack = crate::verify::verify_attack(&d, &out.dataset, &out.cluster_assignment);
+        assert!(attack.is_ok(), "{:?}", attack.violations);
+    }
+
+    #[test]
+    fn empty_batches_are_skipped() {
+        let batches: Vec<Vec<Record>> = vec![vec![], vec![rec(&[1]); 6], vec![]];
+        let (out, summary) = collect_from(&mut IterSource::new(batches));
+        assert_eq!(summary.batches, 1);
+        assert_eq!(out.dataset.total_records(), 6);
     }
 
     #[test]

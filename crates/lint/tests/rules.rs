@@ -1,7 +1,7 @@
 //! Rule-level tests against the fixture corpora: every seeded violation in
 //! a `*_violation.rs` fixture is detected, every `*_clean.rs` fixture comes
-//! back empty, and the DL001 regression fixture (the pre-fix CLI rename)
-//! stays pinned.
+//! back empty, and the DL001 regression fixtures (the pre-fix CLI and
+//! daemon renames) stay pinned.
 //!
 //! Fixtures are lint *inputs*, not compiled code — they live in
 //! `tests/fixtures/`, which the workspace lint config excludes, and are read
@@ -59,32 +59,24 @@ fn dl001_clean_staging_idiom_and_annotations_pass() {
 
 #[test]
 fn dl001_regression_pre_fix_cli_rename_is_flagged() {
-    // The exact shape that went untested for three PRs: raw renames inside
-    // a large dispatcher whose seam consult sits in a later match arm.
-    let findings = lint_fixture("dl001_cli_regression.rs", "crates/cli/src/lib.rs");
-    assert_eq!(rules_of(&findings), vec!["DL001", "DL001"], "{findings:#?}");
-    assert!(
-        findings.iter().all(|f| f.message.contains("fs::rename")),
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn dl002_flags_shim_identifiers_outside_quarantine() {
-    let findings = lint_fixture("dl002_violation.rs", "crates/core/src/fixture.rs");
-    assert_eq!(rules_of(&findings), vec!["DL002"; 3], "{findings:#?}");
-}
-
-#[test]
-fn dl002_clean_comments_and_strings_do_not_count() {
-    let findings = lint_fixture("dl002_clean.rs", "crates/core/src/fixture.rs");
-    assert_eq!(findings, vec![], "{findings:#?}");
-}
-
-#[test]
-fn dl002_quarantine_modules_are_exempt() {
-    let findings = lint_fixture("dl002_violation.rs", "crates/core/src/stream.rs");
-    assert!(!findings.iter().any(|f| f.rule == "DL002"), "{findings:#?}");
+    // The exact shapes that went untested: raw renames inside a large CLI
+    // dispatcher whose seam consult sits in a later match arm, and the
+    // daemon's job bodies, which never consulted the seam at all.
+    for (name, rel) in [
+        ("dl001_cli_regression.rs", "crates/cli/src/lib.rs"),
+        ("dl001_serve_regression.rs", "crates/serve/src/server.rs"),
+    ] {
+        let findings = lint_fixture(name, rel);
+        assert_eq!(
+            rules_of(&findings),
+            vec!["DL001", "DL001"],
+            "{name}: {findings:#?}"
+        );
+        assert!(
+            findings.iter().all(|f| f.message.contains("fs::rename")),
+            "{name}: {findings:#?}"
+        );
+    }
 }
 
 #[test]

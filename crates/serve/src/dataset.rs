@@ -12,6 +12,10 @@
 //!                               same records and batch size
 //! ```
 //!
+//! The job bodies publish both views through [`disassoc_store::ops`], which
+//! stages the flat file beside its final path and commits it with an fsync
+//! and a seam-covered rename.
+//!
 //! The [`Store`] and [`ChunkDir`] are opened lazily on first use and then
 //! held open for the daemon's lifetime, so the store's advisory `LOCK` file
 //! (→ [`disassoc_store::StoreError::Locked`]) excludes any other process — a second daemon
@@ -61,11 +65,6 @@ impl DatasetHandle {
     /// The dataset name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The dataset's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The store directory (exists once something was ingested).

@@ -1,6 +1,7 @@
 //! The service-layer error type and its mapping onto HTTP statuses.
 
 use crate::http::Response;
+use disassoc_store::ops::OpsError;
 use disassoc_store::StoreError;
 use disassociation::error::render_chain;
 
@@ -84,6 +85,15 @@ impl From<StoreError> for ServeError {
     }
 }
 
+impl From<OpsError> for ServeError {
+    fn from(e: OpsError) -> Self {
+        match e {
+            OpsError::Pipeline(e) => ServeError::from(e),
+            OpsError::Store(e) => ServeError::from(e),
+        }
+    }
+}
+
 impl From<disassociation::Error> for ServeError {
     fn from(e: disassociation::Error) -> Self {
         match e {
@@ -96,12 +106,6 @@ impl From<disassociation::Error> for ServeError {
 impl From<disassociation::ConfigError> for ServeError {
     fn from(e: disassociation::ConfigError) -> Self {
         ServeError::BadRequest(e.to_string())
-    }
-}
-
-impl From<disassociation::SinkError> for ServeError {
-    fn from(e: disassociation::SinkError) -> Self {
-        ServeError::Internal(render_chain(&e))
     }
 }
 

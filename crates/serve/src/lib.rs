@@ -12,8 +12,8 @@
 //! | Route | Effect |
 //! |---|---|
 //! | `POST /datasets/{name}/records` | ingest numeric-transaction lines into the dataset's WAL+memtable store (acknowledged = crash-durable) |
-//! | `POST /datasets/{name}/anonymize?k=&m=` | full re-anonymization through [`disassociation::Pipeline`], atomically republishing the chunk dir and flat publication |
-//! | `POST /datasets/{name}/append?k=&m=` | incremental append through [`disassociation::IncrementalPipeline`]; only dirty chunks are republished |
+//! | `POST /datasets/{name}/anonymize?k=&m=` | full re-anonymization through [`disassoc_store::ops::anonymize`], atomically republishing the chunk dir and flat publication |
+//! | `POST /datasets/{name}/append?k=&m=` | incremental append through [`disassoc_store::ops::append`]; only changed chunk files are rewritten |
 //! | `GET /datasets/{name}/chunks[?term=]` | the publication — flat-file bytes verbatim, or term-filtered via the committed chunk batches |
 //! | `GET /datasets` · `GET /datasets/{name}` | admin: dataset list / single summary |
 //! | `GET /metrics` · `GET /healthz` | admin: [`disassoc_obs`] counter snapshot as JSON / liveness |
@@ -23,9 +23,11 @@
 //! - **Durability**: a 200 on ingest means the records are in the store's
 //!   write-ahead log with OS buffers flushed; kill -9 afterwards loses
 //!   nothing ([`crate::dataset::DatasetHandle::with_store`]).
-//! - **Atomic publication**: anonymize/append republish via the store
-//!   layer's two-phase [`disassoc_store::ChunkDir`] and an atomic rename of
-//!   the flat file; readers never observe a half-written publication.
+//! - **Atomic publication**: anonymize/append republish through the same
+//!   [`disassoc_store::ops`] layer as the CLI: the store layer's two-phase
+//!   [`disassoc_store::ChunkDir`] plus a flat file that is fsynced and
+//!   renamed behind the failpoint seam; readers never observe a
+//!   half-written publication.
 //! - **Byte-identical to batch**: the served publication for a dataset is
 //!   byte-for-byte what `disassoc anonymize --store` would write for the
 //!   same records, batch size, and parameters.

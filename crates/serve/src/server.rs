@@ -1,5 +1,10 @@
 //! The daemon: accept loop, router, and the anonymization job bodies.
 //!
+//! The job bodies hold the dataset's store and publication locks and call
+//! [`disassoc_store::ops`], the dataset-operations layer the CLI uses too;
+//! the flat publication is therefore fsynced and committed behind the
+//! failpoint seam exactly like the CLI's.
+//!
 //! One thread per connection (bounded by
 //! [`ServeConfig::max_connections`]), one request per connection, socket
 //! timeouts on both directions.  Ingest and reads run directly on the
@@ -29,8 +34,8 @@ use crate::jobs::{JobSubmitter, WorkerPool};
 use crate::retry::{self, RetrySchedule};
 use crate::signal;
 use disassoc_obs::metrics::{self, counters};
-use disassociation::pipeline::{ChunkFileStats, JsonChunksSink, MultiSink};
-use disassociation::{AppendOptions, DisassociationConfig, Pipeline, RunSummary};
+use disassoc_store::ops;
+use disassociation::{AppendOptions, DisassociationConfig};
 use serde_json::Value;
 use transact::{io::RecordReader, Record, TermId};
 
@@ -514,12 +519,13 @@ fn anonymize(state: &Arc<State>, name: &str, request: &Request) -> Result<Respon
     })
 }
 
-/// The anonymize job body: store scan → pipeline → ChunkDir + flat file.
+/// The anonymize job body: store scan → [`ops::anonymize`] into the
+/// ChunkDir and the flat file.
 ///
 /// Identical records, batch size, and config produce a `publication.chunks.json`
 /// byte-identical to `disassoc anonymize --store <dir> --out <prefix>` — both
-/// paths are the same `Pipeline` over the same `StoreSource` into the same
-/// `JsonChunksSink` (the integration suite diffs the two).
+/// front ends call the same operation over the same `StoreSource` (the
+/// integration suite diffs the two).
 fn anonymize_job(
     handle: &DatasetHandle,
     name: &str,
@@ -529,30 +535,14 @@ fn anonymize_job(
     let started = Instant::now();
     let (summary, stats) = handle.with_store(|store| {
         handle.with_publication(|chunk_dir| {
-            let partial = handle.dir().join("publication.chunks.json.partial");
-            let result = (|| -> Result<(RunSummary, ChunkFileStats), ServeError> {
-                let mut file_sink = JsonChunksSink::create(&partial, config)?;
-                let mut sinks = MultiSink::new();
-                sinks.push(chunk_dir);
-                sinks.push(&mut file_sink);
-                let mut source = store.source(batch_size);
-                let summary = Pipeline::new(config.clone())
-                    .source(&mut source)
-                    .sink(&mut sinks)
-                    .threads(1)
-                    .run()?;
-                Ok((summary, *file_sink.stats()))
-            })();
-            match result {
-                Ok(ok) => {
-                    std::fs::rename(&partial, handle.publication_path())?;
-                    Ok(ok)
-                }
-                Err(e) => {
-                    std::fs::remove_file(&partial).ok();
-                    Err(e)
-                }
-            }
+            let mut source = store.source(batch_size);
+            Ok(ops::anonymize(
+                &mut source,
+                config,
+                1,
+                Some(chunk_dir),
+                &handle.publication_path(),
+            )?)
         })
     })?;
     Ok(Response::json(
@@ -613,8 +603,9 @@ fn append(state: &Arc<State>, name: &str, request: &Request) -> Result<Response,
     })
 }
 
-/// The append job body: rebuild incremental state from the store, route the
-/// new records in, persist them, republish dirty chunks + the flat file.
+/// The append job body: [`ops::append`] rebuilds the incremental state from
+/// the store, routes the new records in, persists them, and republishes the
+/// ChunkDir and the flat file.
 fn append_job(
     handle: &DatasetHandle,
     name: &str,
@@ -624,37 +615,19 @@ fn append_job(
     records: &[Record],
 ) -> Result<Response, ServeError> {
     let started = Instant::now();
+    let options = AppendOptions { max_dirty_fraction };
     let outcome = handle.with_store(|store| {
-        let mut pipeline = {
-            let mut source = store.source(batch_size);
-            disassociation::IncrementalPipeline::build(config.clone(), &mut source)?
-        };
-        let options = AppendOptions { max_dirty_fraction };
-        let outcome = pipeline.append_with(records, &options);
-        store.append_batch(records)?;
-        store.flush()?;
         handle.with_publication(|chunk_dir| {
-            if chunk_dir.is_empty() {
-                pipeline.publish_all(chunk_dir)?;
-            } else {
-                pipeline.publish_dirty(chunk_dir)?;
-            }
-            Ok(())
-        })?;
-        let partial = handle.dir().join("publication.chunks.json.partial");
-        let result = (|| -> Result<(), ServeError> {
-            let mut file_sink = JsonChunksSink::create(&partial, config)?;
-            pipeline.publish_all(&mut file_sink)?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => std::fs::rename(&partial, handle.publication_path())?,
-            Err(e) => {
-                std::fs::remove_file(&partial).ok();
-                return Err(e);
-            }
-        }
-        Ok(outcome)
+            Ok(ops::append(
+                store,
+                config,
+                batch_size,
+                records,
+                &options,
+                Some(chunk_dir),
+                Some(&handle.publication_path()),
+            )?)
+        })
     })?;
     Ok(Response::json(
         200,

@@ -7,8 +7,8 @@
 //! atomic load.
 //!
 //! The names are part of the crate's public robustness contract:
-//! `disassoc-lint` rule DL001 checks that every raw I/O call on the store
-//! and CLI publication paths goes through the seam, and
+//! `disassoc-lint` rule DL001 checks that every raw I/O call on the store,
+//! CLI and daemon paths goes through the seam, and
 //! `tests/torture_store.rs` enumerates [`ALL`] crossed with fault modes.
 
 /// WAL entry payload write (supports torn/short writes).
@@ -51,9 +51,9 @@ pub const PUBLISH_COMMIT_RENAME: &str = "store.publish.commit.rename";
 /// Orphaned chunk-file garbage collection on open.
 pub const PUBLISH_GC: &str = "store.publish.gc";
 /// Flat-file publication: `.partial` fsync before the rename.
-pub const CLI_PUBLISH_SYNC: &str = "cli.publish.sync";
+pub const PUBLISH_FLAT_SYNC: &str = "store.publish.flat.sync";
 /// Flat-file publication: atomic rename (the commit point).
-pub const CLI_PUBLISH_RENAME: &str = "cli.publish.rename";
+pub const PUBLISH_FLAT_RENAME: &str = "store.publish.flat.rename";
 
 /// Sites exercised by the ingest→spill→compact store workload.
 pub const STORE_SITES: &[&str] = &[
@@ -82,8 +82,9 @@ pub const PUBLISH_SITES: &[&str] = &[
     PUBLISH_GC,
 ];
 
-/// Sites exercised by the CLI's single-file (non-chunked) publication.
-pub const CLI_SITES: &[&str] = &[CLI_PUBLISH_SYNC, CLI_PUBLISH_RENAME];
+/// Sites exercised by the single-file (non-chunked) publication that
+/// [`crate::ops`] commits for both the CLI and the daemon.
+pub const FLAT_SITES: &[&str] = &[PUBLISH_FLAT_SYNC, PUBLISH_FLAT_RENAME];
 
 /// Every failpoint site in the store, in pipeline order.
 pub const ALL: &[&str] = &[
@@ -106,8 +107,8 @@ pub const ALL: &[&str] = &[
     PUBLISH_COMMIT_SYNC,
     PUBLISH_COMMIT_RENAME,
     PUBLISH_GC,
-    CLI_PUBLISH_SYNC,
-    CLI_PUBLISH_RENAME,
+    PUBLISH_FLAT_SYNC,
+    PUBLISH_FLAT_RENAME,
 ];
 
 #[cfg(test)]
@@ -118,17 +119,14 @@ mod tests {
     fn site_lists_are_consistent_and_unique() {
         assert_eq!(
             ALL.len(),
-            STORE_SITES.len() + PUBLISH_SITES.len() + CLI_SITES.len()
+            STORE_SITES.len() + PUBLISH_SITES.len() + FLAT_SITES.len()
         );
         let mut names: Vec<&str> = ALL.to_vec();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), ALL.len(), "duplicate site names");
         for site in ALL {
-            assert!(
-                site.starts_with("store.") || site.starts_with("cli."),
-                "{site}"
-            );
+            assert!(site.starts_with("store."), "{site}");
         }
     }
 }

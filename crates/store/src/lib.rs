@@ -23,7 +23,9 @@
 //! * **size-tiered compaction** ([`compact`]) merges runs of small adjacent
 //!   segments to keep the per-scan segment count bounded;
 //! * [`Store::scan`] returns a [`RecordBatchIter`] — the chunked read API
-//!   the out-of-core anonymization in `disassociation::stream` consumes.
+//!   the out-of-core anonymization in `disassociation::pipeline` consumes;
+//! * [`ops`] is the dataset-operations layer both front ends (CLI and
+//!   daemon) call to anonymize or append and commit the publication.
 //!
 //! ```
 //! use disassoc_store::{Store, StoreConfig};
@@ -46,6 +48,7 @@ pub mod compact;
 pub mod encode;
 pub mod failpoints;
 pub mod manifest;
+pub mod ops;
 pub mod publish;
 pub mod scan;
 pub mod segment;

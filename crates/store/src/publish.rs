@@ -117,16 +117,17 @@ impl ChunkManifest {
 /// Commits a fully staged `.partial` file to its final path: fsync the
 /// staged bytes, atomically rename onto `final_path` (the commit point),
 /// then best-effort fsync the parent directory so the rename itself is
-/// durable.  The CLI's flat-file (non-chunked) publication routes through
-/// here so the [`failpoints::CLI_SITES`] seam covers it: a crash anywhere
-/// leaves either the complete old publication or the complete new one.
+/// durable.  The flat-file (non-chunked) publication of both front ends
+/// routes through here, by way of [`crate::ops`], so the
+/// [`failpoints::FLAT_SITES`] seam covers it: a crash anywhere leaves
+/// either the complete old publication or the complete new one.
 ///
 /// The caller is responsible for having finished writing `partial`; on
 /// error the staged file is left in place for the caller to clean up.
 pub fn commit_flat_file(partial: &Path, final_path: &Path) -> Result<()> {
-    faults::check_at(failpoints::CLI_PUBLISH_SYNC, partial)?;
+    faults::check_at(failpoints::PUBLISH_FLAT_SYNC, partial)?;
     File::open(partial)?.sync_all()?;
-    faults::check_at(failpoints::CLI_PUBLISH_RENAME, final_path)?;
+    faults::check_at(failpoints::PUBLISH_FLAT_RENAME, final_path)?;
     std::fs::rename(partial, final_path)?;
     if let Some(dir) = final_path.parent() {
         if let Ok(d) = File::open(dir) {

@@ -11,10 +11,13 @@
 //! 3. **Per-job wall-clock timeouts**: a job that outlives
 //!    `ServeConfig::job_reply_timeout` answers 504 without wedging the
 //!    daemon.
+//! 4. **The flat publication commits through the seam**: a fault at the
+//!    flat file's rename fails the job (503 degraded after its retries)
+//!    while the previous publication keeps serving byte-for-byte.
 //!
-//! The failpoint registry is process-global, so the tests serialize on one
-//! mutex and scope every armed fault to a dataset path under their own
-//! temp directory.
+//! The failpoint registry and the obs counters are process-global, so the
+//! tests serialize on one mutex, reset both on entry, and scope every armed
+//! fault to a dataset path under their own temp directory.
 
 use datagen::{QuestConfig, QuestGenerator};
 use disassoc_faults as faults;
@@ -31,6 +34,8 @@ static LOCK: Mutex<()> = Mutex::new(());
 fn guard() -> MutexGuard<'static, ()> {
     let g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     faults::disarm_all();
+    // Counters are process-global too: each test asserts on its own.
+    disassoc_obs::metrics::reset_all();
     g
 }
 
@@ -199,6 +204,46 @@ fn jobs_past_the_wall_clock_timeout_answer_504() {
     // lets the job finish) exits cleanly.
     let health = client::get(addr, "/healthz").unwrap();
     assert_eq!(health.status, 200);
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&data_dir).ok();
+}
+
+#[test]
+fn a_failed_flat_commit_degrades_and_keeps_the_previous_publication() {
+    let _g = guard();
+    let data_dir = tmpdir("flat_commit");
+    let (addr, shutdown, join) = spawn_server(&data_dir, ServeConfig::default());
+
+    let body = numeric_body(&quest(300, 60, 8));
+    let ingest = client::post(addr, "/datasets/flat/records", &body).unwrap();
+    assert_eq!(ingest.status, 200, "{}", ingest.text());
+    let anon = client::post(addr, "/datasets/flat/anonymize?k=3&m=2", b"").unwrap();
+    assert_eq!(anon.status, 200, "{}", anon.text());
+    let published = client::get(addr, "/datasets/flat/chunks").unwrap();
+    assert_eq!(published.status, 200);
+
+    // Every flat-file commit under this test's data directory fails.
+    faults::arm(
+        failpoints::PUBLISH_FLAT_RENAME,
+        faults::Policy::error().when_path_contains(data_dir.to_str().unwrap()),
+    );
+    let again = client::post(addr, "/datasets/flat/anonymize?k=3&m=2", b"").unwrap();
+    assert_eq!(again.status, 503, "{}", again.text());
+    assert!(again.text().contains("read-only"), "{}", again.text());
+    let stats = faults::site_stats(failpoints::PUBLISH_FLAT_RENAME).unwrap();
+    assert!(stats.triggers >= 1, "{stats:?}");
+    faults::disarm_all();
+
+    // The first publication still serves, byte-for-byte, and the failed
+    // commit left no staged file behind.
+    let read = client::get(addr, "/datasets/flat/chunks").unwrap();
+    assert_eq!(read.status, 200);
+    assert_eq!(read.body, published.body, "publication must be unchanged");
+    assert!(!data_dir
+        .join("flat/publication.chunks.json.partial")
+        .exists());
+
     shutdown.shutdown();
     join.join().unwrap().unwrap();
     std::fs::remove_dir_all(&data_dir).ok();

@@ -21,7 +21,7 @@
 
 use datagen::{QuestConfig, QuestGenerator};
 use disassoc_faults as faults;
-use disassoc_store::{failpoints, ChunkDir, Store, StoreConfig};
+use disassoc_store::{failpoints, ops, ChunkDir, Store, StoreConfig};
 use disassociation::pipeline::DatasetSource;
 use disassociation::{DisassociationConfig, IncrementalPipeline};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -340,24 +340,33 @@ fn publication_crash_matrix_is_old_or_new_at_every_failpoint() {
     assert_eq!(points, failpoints::PUBLISH_SITES.len() * 2);
 }
 
-/// Runs the CLI flat-file publication commit with `site` armed in `mode`:
-/// an existing publication at the final path, a fully staged `.partial`
-/// replacement, then a crashed [`disassoc_store::publish::commit_flat_file`].
-/// Verifies the visible file is byte-for-byte either the old or the new
-/// publication — never a mix — and that a retry lands the new one.
-fn cli_publish_torture_one(site: &str, mode: Mode) -> usize {
-    let dir = tmpdir(&format!("cli_{}_{}", site.replace('.', "_"), mode.tag()));
+/// Runs the flat-file publication that [`ops::anonymize`] commits for both
+/// front ends with `site` armed in `mode`, over an existing publication of
+/// other records.  Verifies the visible file is byte-for-byte either the old
+/// or the new publication — never a mix — that an injected error leaves no
+/// `.partial` behind, and that a retry lands the new publication.
+fn flat_publish_torture_one(site: &str, mode: Mode) -> usize {
+    let dir = tmpdir(&format!("flat_{}_{}", site.replace('.', "_"), mode.tag()));
     let final_path = dir.join("out.chunks.json");
     let partial = dir.join("out.chunks.json.partial");
-    let old_bytes = b"{\"generation\":1,\"clusters\":[\"old\"]}\n".to_vec();
-    let new_bytes = b"{\"generation\":2,\"clusters\":[\"new\",\"newer\"]}\n".to_vec();
-    std::fs::write(&final_path, &old_bytes).unwrap();
-    std::fs::write(&partial, &new_bytes).unwrap();
+    let config = DisassociationConfig {
+        k: 3,
+        m: 2,
+        ..Default::default()
+    };
+    let (old, new) = (records(40, 1), records(50, 2));
+    let publish = |records: &[Record], path: &std::path::Path| {
+        let mut source = DatasetSource::from_records(records, 16);
+        ops::anonymize(&mut source, &config, 1, None, path).map(|_| ())
+    };
+    publish(&new, &dir.join("expected.chunks.json")).unwrap();
+    let new_bytes = std::fs::read(dir.join("expected.chunks.json")).unwrap();
+    publish(&old, &final_path).unwrap();
+    let old_bytes = std::fs::read(&final_path).unwrap();
+    assert_ne!(old_bytes, new_bytes);
 
     faults::arm(site, mode.policy());
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        disassoc_store::publish::commit_flat_file(&partial, &final_path)
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| publish(&new, &final_path)));
     let stats = faults::site_stats(site).unwrap_or_else(|| panic!("site {site} never registered"));
     assert_eq!(
         stats.triggers,
@@ -368,6 +377,10 @@ fn cli_publish_torture_one(site: &str, mode: Mode) -> usize {
     match (mode, outcome) {
         (Mode::Error, Ok(result)) => {
             assert!(result.is_err(), "{site}: injected error must surface");
+            assert!(
+                !partial.exists(),
+                "{site}: a failed commit must remove the partial"
+            );
         }
         (Mode::Error, Err(_)) => panic!("{site}: error mode must not panic"),
         (Mode::Panic, Err(_)) => {}
@@ -383,12 +396,9 @@ fn cli_publish_torture_one(site: &str, mode: Mode) -> usize {
         mode.tag()
     );
 
-    // A retry with the surviving (or re-staged) partial lands the new
+    // A retry (restaging over any partial a crash left) lands the new
     // publication cleanly.
-    if !partial.exists() {
-        std::fs::write(&partial, &new_bytes).unwrap();
-    }
-    disassoc_store::publish::commit_flat_file(&partial, &final_path).unwrap();
+    publish(&new, &final_path).unwrap();
     assert_eq!(std::fs::read(&final_path).unwrap(), new_bytes);
     assert!(!partial.exists(), "{site}: committed partial must be gone");
 
@@ -400,12 +410,12 @@ fn cli_publish_torture_one(site: &str, mode: Mode) -> usize {
 fn cli_publication_crash_matrix_is_old_or_new_at_every_failpoint() {
     let _g = guard();
     let mut points = 0;
-    for &site in failpoints::CLI_SITES {
+    for &site in failpoints::FLAT_SITES {
         for mode in [Mode::Error, Mode::Panic] {
-            points += cli_publish_torture_one(site, mode);
+            points += flat_publish_torture_one(site, mode);
         }
     }
-    assert_eq!(points, failpoints::CLI_SITES.len() * 2);
+    assert_eq!(points, failpoints::FLAT_SITES.len() * 2);
 }
 
 #[test]
@@ -414,7 +424,7 @@ fn the_matrix_covers_at_least_thirty_crash_points() {
     // and panic modes by the three matrix tests above.
     let covered = failpoints::STORE_SITES.len()
         + failpoints::PUBLISH_SITES.len()
-        + failpoints::CLI_SITES.len();
+        + failpoints::FLAT_SITES.len();
     let points = covered * 2;
     assert!(points >= 30, "only {points} crash points enumerated");
     assert_eq!(
