@@ -494,8 +494,10 @@ impl JsonChunksSink<'static, std::io::BufWriter<std::fs::File>> {
         let path = path.as_ref();
         let file = std::fs::File::create(path)
             .map_err(|e| SinkError::new(format!("creating chunk file {}", path.display()), e))?;
+        // A pretty publication runs to hundreds of megabytes: write it in
+        // 64 KiB blocks rather than the default 8 KiB.
         Ok(JsonChunksSink::numeric(
-            std::io::BufWriter::new(file),
+            std::io::BufWriter::with_capacity(1 << 16, file),
             config,
         ))
     }
@@ -528,26 +530,24 @@ impl<'d, W: Write> JsonChunksSink<'d, W> {
     }
 
     fn write_cluster(&mut self, node: &ClusterNode) -> Result<(), SinkError> {
-        let rendered = match self.dict {
-            None => serde_json::to_string_pretty(node),
-            Some(dict) => serde_json::to_string_pretty(&named::node_value(node, dict)),
-        }
-        .map_err(|e| SinkError::new("serializing a cluster node", e))?;
-        let mut out = String::with_capacity(rendered.len() + 64);
-        if self.clusters_written == 0 {
+        let prefix = if self.clusters_written == 0 {
             // The document prefix, matching `to_string_pretty`'s two-space
             // indentation of `DisassociatedDataset { k, m, clusters }`.
-            out.push_str(&format!(
+            format!(
                 "{{\n  \"k\": {},\n  \"m\": {},\n  \"clusters\": [\n    ",
                 self.k, self.m
-            ));
+            )
         } else {
-            out.push_str(",\n    ");
+            ",\n    ".to_owned()
+        };
+        // The node is an element of `clusters`, two containers deep.
+        let mut w = serde_json::Writer::pretty_at(prefix, 2);
+        match self.dict {
+            None => serde::Serialize::serialize(node, &mut w),
+            Some(dict) => named::write_node(&mut w, node, dict),
         }
-        // Re-indent the standalone rendering to element depth (4 spaces).
-        out.push_str(&rendered.replace('\n', "\n    "));
         self.writer
-            .write_all(out.as_bytes())
+            .write_all(w.into_string().as_bytes())
             .map_err(|e| SinkError::new("writing published chunks", e))?;
         self.clusters_written += 1;
         Ok(())
@@ -597,91 +597,89 @@ impl<W: Write> ChunkSink for JsonChunksSink<'_, W> {
 mod named {
     use super::*;
     use crate::model::{Cluster, JointCluster, RecordChunk};
-    use serde_json::Value;
+    use serde_json::Writer;
     use transact::TermId;
 
-    fn term(dict: &Dictionary, id: TermId) -> Value {
-        Value::Str(dict.term_or_placeholder(id))
+    fn terms(w: &mut Writer, dict: &Dictionary, ids: &[TermId]) {
+        w.begin_array();
+        for &id in ids {
+            w.element();
+            w.string(&dict.term_or_placeholder(id));
+        }
+        w.end_array();
     }
 
-    fn terms(dict: &Dictionary, ids: &[TermId]) -> Value {
-        Value::Array(ids.iter().map(|&t| term(dict, t)).collect())
+    fn chunk(w: &mut Writer, chunk: &RecordChunk, dict: &Dictionary) {
+        w.begin_object();
+        w.key("domain");
+        terms(w, dict, &chunk.domain);
+        w.key("subrecords");
+        w.begin_array();
+        for record in &chunk.subrecords {
+            w.element();
+            terms(w, dict, record.terms());
+        }
+        w.end_array();
+        w.end_object();
     }
 
-    fn chunk_value(chunk: &RecordChunk, dict: &Dictionary) -> Value {
-        Value::Object(vec![
-            ("domain".into(), terms(dict, &chunk.domain)),
-            (
-                "subrecords".into(),
-                Value::Array(
-                    chunk
-                        .subrecords
-                        .iter()
-                        .map(|r| terms(dict, r.terms()))
-                        .collect(),
-                ),
-            ),
-        ])
+    fn cluster(w: &mut Writer, cluster: &Cluster, dict: &Dictionary) {
+        w.begin_object();
+        w.key("size");
+        w.uint(cluster.size as u64);
+        w.key("record_chunks");
+        w.begin_array();
+        for c in &cluster.record_chunks {
+            w.element();
+            chunk(w, c, dict);
+        }
+        w.end_array();
+        w.key("term_chunk");
+        w.begin_object();
+        w.key("terms");
+        terms(w, dict, &cluster.term_chunk.terms);
+        w.end_object();
+        w.end_object();
     }
 
-    fn cluster_value(cluster: &Cluster, dict: &Dictionary) -> Value {
-        Value::Object(vec![
-            ("size".into(), Value::Int(cluster.size as i128)),
-            (
-                "record_chunks".into(),
-                Value::Array(
-                    cluster
-                        .record_chunks
-                        .iter()
-                        .map(|c| chunk_value(c, dict))
-                        .collect(),
-                ),
-            ),
-            (
-                "term_chunk".into(),
-                Value::Object(vec![(
-                    "terms".into(),
-                    terms(dict, &cluster.term_chunk.terms),
-                )]),
-            ),
-        ])
+    fn joint(w: &mut Writer, joint: &JointCluster, dict: &Dictionary) {
+        w.begin_object();
+        w.key("children");
+        w.begin_array();
+        for child in &joint.children {
+            w.element();
+            write_node(w, child, dict);
+        }
+        w.end_array();
+        w.key("shared_chunks");
+        w.begin_array();
+        for shared in &joint.shared_chunks {
+            w.element();
+            w.begin_object();
+            w.key("chunk");
+            chunk(w, &shared.chunk, dict);
+            w.key("requires_k_anonymity");
+            w.boolean(shared.requires_k_anonymity);
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
     }
 
-    fn joint_value(joint: &JointCluster, dict: &Dictionary) -> Value {
-        Value::Object(vec![
-            (
-                "children".into(),
-                Value::Array(joint.children.iter().map(|n| node_value(n, dict)).collect()),
-            ),
-            (
-                "shared_chunks".into(),
-                Value::Array(
-                    joint
-                        .shared_chunks
-                        .iter()
-                        .map(|s| {
-                            Value::Object(vec![
-                                ("chunk".into(), chunk_value(&s.chunk, dict)),
-                                (
-                                    "requires_k_anonymity".into(),
-                                    Value::Bool(s.requires_k_anonymity),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Converts a cluster node to its named-term JSON value.
-    pub(super) fn node_value(node: &ClusterNode, dict: &Dictionary) -> Value {
+    /// Writes a cluster node with named terms.
+    pub(super) fn write_node(w: &mut Writer, node: &ClusterNode, dict: &Dictionary) {
+        w.begin_object();
         match node {
             ClusterNode::Simple(c) => {
-                Value::Object(vec![("Simple".into(), cluster_value(c, dict))])
+                w.key("Simple");
+                cluster(w, c, dict);
             }
-            ClusterNode::Joint(j) => Value::Object(vec![("Joint".into(), joint_value(j, dict))]),
+            ClusterNode::Joint(j) => {
+                w.key("Joint");
+                joint(w, j, dict);
+            }
         }
+        w.end_object();
     }
 }
 

@@ -23,7 +23,7 @@
 use crate::{failpoints, Result, StoreError};
 use disassoc_faults as faults;
 use disassoc_obs::metrics::counters as obs_counters;
-use disassociation::model::DisassociatedDataset;
+use disassociation::model::{ClusterNode, DisassociatedDataset};
 use disassociation::{BatchOutput, ChunkSink, SinkError};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -72,15 +72,15 @@ impl Default for ChunkManifest {
 impl ChunkManifest {
     fn load(dir: &Path) -> Result<ChunkManifest> {
         let path = dir.join(CHUNK_MANIFEST_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(ChunkManifest::default())
             }
             Err(e) => return Err(e.into()),
         };
         let manifest: ChunkManifest =
-            serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
+            serde_json::from_slice(&bytes).map_err(|e| StoreError::Corrupt {
                 file: path.display().to_string(),
                 message: format!("chunk manifest is not valid JSON: {e}"),
             })?;
@@ -213,8 +213,8 @@ impl ChunkDir {
             .find(|b| b.batch_index == batch_index)
             .ok_or_else(|| StoreError::corrupt(format!("batch {batch_index} is not published")))?;
         let path = self.dir.join(&entry.file);
-        let text = std::fs::read_to_string(&path)?;
-        serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
+        let bytes = std::fs::read(&path)?;
+        serde_json::from_slice(&bytes).map_err(|e| StoreError::Corrupt {
             file: path.display().to_string(),
             message: format!("chunk file is not valid JSON: {e}"),
         })
@@ -223,23 +223,7 @@ impl ChunkDir {
     /// The combined published dataset across all committed batches, in
     /// batch order.  Returns `None` when nothing is published.
     pub fn combined_dataset(&self) -> Result<Option<DisassociatedDataset>> {
-        let mut combined: Option<DisassociatedDataset> = None;
-        for entry in &self.manifest.batches {
-            let batch = self.read_batch(entry.batch_index)?;
-            match &mut combined {
-                None => combined = Some(batch.dataset),
-                Some(d) => {
-                    if d.k != batch.dataset.k || d.m != batch.dataset.m {
-                        return Err(StoreError::corrupt(format!(
-                            "batch {} was published with (k={}, m={}), expected (k={}, m={})",
-                            entry.batch_index, batch.dataset.k, batch.dataset.m, d.k, d.m
-                        )));
-                    }
-                    d.clusters.extend(batch.dataset.clusters);
-                }
-            }
-        }
-        Ok(combined)
+        self.combined(|_| true)
     }
 
     /// The combined published dataset restricted to clusters that mention
@@ -251,20 +235,30 @@ impl ChunkDir {
         &self,
         term: transact::TermId,
     ) -> Result<Option<DisassociatedDataset>> {
+        self.combined(|node| node.mentions_term(term))
+    }
+
+    /// Concatenates the clusters `keep` accepts across all committed
+    /// batches, checking that every batch was published under the same
+    /// (k, m).
+    fn combined(
+        &self,
+        keep: impl Fn(&ClusterNode) -> bool,
+    ) -> Result<Option<DisassociatedDataset>> {
         let mut combined: Option<DisassociatedDataset> = None;
         for entry in &self.manifest.batches {
-            let mut batch = self.read_batch(entry.batch_index)?;
-            batch.dataset.clusters.retain(|n| n.mentions_term(term));
+            let mut batch = self.read_batch(entry.batch_index)?.dataset;
+            batch.clusters.retain(&keep);
             match &mut combined {
-                None => combined = Some(batch.dataset),
+                None => combined = Some(batch),
                 Some(d) => {
-                    if d.k != batch.dataset.k || d.m != batch.dataset.m {
+                    if (d.k, d.m) != (batch.k, batch.m) {
                         return Err(StoreError::corrupt(format!(
                             "batch {} was published with (k={}, m={}), expected (k={}, m={})",
-                            entry.batch_index, batch.dataset.k, batch.dataset.m, d.k, d.m
+                            entry.batch_index, batch.k, batch.m, d.k, d.m
                         )));
                     }
-                    d.clusters.extend(batch.dataset.clusters);
+                    d.clusters.extend(batch.clusters);
                 }
             }
         }
@@ -280,13 +274,13 @@ impl ChunkDir {
         self.manifest.generation + 1
     }
 
-    fn stage(&mut self, batch: &BatchOutput) -> Result<()> {
+    fn stage(&mut self, batch: BatchOutput) -> Result<()> {
         let generation = self.next_generation();
         let file = Self::file_name(batch.batch_index, generation);
         let content = BatchChunks {
             batch_index: batch.batch_index,
             record_offset: batch.record_offset,
-            dataset: batch.output.dataset.clone(),
+            dataset: batch.output.dataset,
         };
         let bytes = serde_json::to_vec(&content).map_err(|e| StoreError::Corrupt {
             file: file.clone(),
@@ -390,8 +384,9 @@ impl ChunkDir {
 
 impl ChunkSink for ChunkDir {
     fn accept(&mut self, batch: BatchOutput) -> std::result::Result<(), SinkError> {
-        self.stage(&batch)
-            .map_err(|e| SinkError::new(format!("stage chunk batch {}", batch.batch_index), e))
+        let batch_index = batch.batch_index;
+        self.stage(batch)
+            .map_err(|e| SinkError::new(format!("stage chunk batch {batch_index}"), e))
     }
 
     fn finish(&mut self) -> std::result::Result<(), SinkError> {
@@ -403,7 +398,7 @@ impl ChunkSink for ChunkDir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disassociation::model::{Cluster, ClusterNode, RecordChunk, TermChunk};
+    use disassociation::model::{Cluster, RecordChunk, TermChunk};
     use transact::{Record, TermId};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -543,6 +538,23 @@ mod tests {
         let misses = chunks.combined_filtered(TermId::new(999)).unwrap().unwrap();
         assert!(misses.clusters.is_empty());
         assert_eq!((misses.k, misses.m), (2, 2), "header survives the filter");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_corrupt_manifest_surfaces_as_corrupt() {
+        let dir = tmpdir("corrupt_manifest");
+        // A high surrogate followed by `A` instead of a low surrogate.
+        std::fs::write(
+            dir.join(CHUNK_MANIFEST_FILE),
+            r#"{"version": 1, "generation": 1, "batches": [{"batch_index": 0,
+               "record_offset": 0, "file": "\ud800\u0041", "generation": 1}]}"#,
+        )
+        .unwrap();
+        match ChunkDir::open(&dir) {
+            Err(StoreError::Corrupt { file, .. }) => assert!(file.ends_with(CHUNK_MANIFEST_FILE)),
+            other => panic!("expected a corrupt-store error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,21 +7,33 @@
 //! support for the `#[serde(skip)]` and `#[serde(default)]` attributes), and
 //! impls for the std types that appear in the data model.
 //!
-//! Unlike upstream serde there is no `Serializer`/`Deserializer` abstraction:
-//! values convert to and from a single JSON-like [`Value`] tree, and the
-//! companion `serde_json` shim renders/parses that tree. Round-trips through
-//! `serde_json` are lossless for every type in this workspace (integers are
-//! kept as `i128`, so `u64` seeds survive exactly).
+//! Unlike upstream serde there is no `Serializer`/`Deserializer`
+//! abstraction: JSON is the only format.  [`Serialize`] writes straight into
+//! a JSON [`Writer`] (compact, or pretty from a given start depth) and
+//! [`Deserialize`] reads straight from [`Reader`], a pull parser over the
+//! input bytes, so no intermediate tree is built in either direction.
+//! [`Value`] is a plain JSON value type that serializes and parses itself
+//! like any other.  The companion `serde_json` shim holds the entry points
+//! (`to_string`, `from_str`, ...).  Round-trips are lossless for every type
+//! in this workspace: integers are read and written exactly, so `u64` seeds
+//! survive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use serde_derive::{Deserialize, Serialize};
 
+mod read;
+mod write;
+
+use read::Number;
+pub use read::Reader;
+pub use write::Writer;
+
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hash};
 
-/// A JSON-like value tree — the single interchange format of this shim.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -85,89 +97,125 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can be converted into a [`Value`] tree.
+/// Types that can be written as JSON.
 pub trait Serialize {
-    /// Converts `self` into a value tree.
-    fn to_value(&self) -> Value;
+    /// Writes `self` as one JSON value.
+    fn serialize(&self, w: &mut Writer);
 }
 
-/// Types that can be reconstructed from a [`Value`] tree.
+/// Types that can be read from JSON.
 pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from a value tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Reads one JSON value as `Self`.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
     }
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.boolean(*b),
+            Value::Int(i) => w.int(*i),
+            Value::Float(f) => w.float(*f),
+            Value::Str(s) => w.string(s),
+            Value::Array(items) => items.serialize(w),
+            Value::Object(fields) => {
+                w.begin_object();
+                for (key, value) in fields {
+                    w.key(key);
+                    value.serialize(w);
+                }
+                w.end_object();
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match r.peek() {
+            Some(b'n') if r.null() => Value::Null,
+            Some(b't' | b'f') => Value::Bool(r.boolean()?),
+            Some(b'-' | b'0'..=b'9') => match r.number()? {
+                Number::Int(i) => Value::Int(i),
+                Number::Float(f) => Value::Float(f),
+            },
+            Some(b'"') => Value::Str(r.string()?.into_owned()),
+            Some(b'[') => Value::Array(Vec::deserialize(r)?),
+            Some(b'{') => {
+                r.begin_object()?;
+                let mut fields = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    fields.push((key.into_owned(), Value::deserialize(r)?));
+                }
+                Value::Object(fields)
+            }
+            _ => return Err(r.error("a JSON value")),
+        })
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.boolean(*self)
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::custom("expected bool")),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.boolean()
     }
 }
 
 macro_rules! impl_int {
-    ($($t:ty),*) => {$(
+    ($write:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i128)
+            fn serialize(&self, w: &mut Writer) {
+                w.$write(*self as $wide)
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(i) => <$t>::try_from(*i)
-                        .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t)))),
-                    Value::Float(f) if f.fract() == 0.0 => Ok(*f as $t),
-                    _ => Err(Error::custom(concat!("expected integer for ", stringify!($t)))),
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let out_of_range = || Error::custom(concat!("integer out of range for ", stringify!($t)));
+                match r.number()? {
+                    Number::Int(i) => <$t>::try_from(i).map_err(|_| out_of_range()),
+                    // An integral float converts only when it is exactly an
+                    // integer in range: never saturate, never truncate.
+                    Number::Float(f) if f.fract() == 0.0 && f.abs() < 2f64.powi(127) => {
+                        <$t>::try_from(f as i128).map_err(|_| out_of_range())
+                    }
+                    Number::Float(_) => Err(Error::custom(concat!("expected integer for ", stringify!($t)))),
                 }
             }
         }
     )*};
 }
 
-impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int!(uint as u64: u8, u16, u32, u64, usize);
+impl_int!(int as i128: i8, i16, i32, i64, isize);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn serialize(&self, w: &mut Writer) {
+                w.float(*self as f64)
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    // Non-finite floats serialize as JSON null.
-                    Value::Null => Ok(<$t>::NAN),
-                    _ => Err(Error::custom("expected number")),
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                // Non-finite floats serialize as JSON null.
+                if r.null() {
+                    return Ok(<$t>::NAN);
                 }
+                Ok(match r.number()? {
+                    Number::Float(f) => f as $t,
+                    Number::Int(i) => i as $t,
+                })
             }
         }
     )*};
@@ -175,223 +223,178 @@ macro_rules! impl_float {
 
 impl_float!(f32, f64);
 
+impl Serialize for str {
+    fn serialize(&self, w: &mut Writer) {
+        w.string(self)
+    }
+}
+
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, w: &mut Writer) {
+        w.string(self)
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(Error::custom("expected string")),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.string().map(|s| s.into_owned())
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.string(self.encode_utf8(&mut [0; 4]))
     }
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let s = r.string()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
             _ => Err(Error::custom("expected single-character string")),
         }
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            None => Value::Null,
-            Some(x) => x.to_value(),
+            None => w.null(),
+            Some(x) => x.serialize(w),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.null() {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
 
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Box::new(T::from_value(v)?))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::deserialize(r).map(Box::new)
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+/// Writes the items of a sequence as a JSON array.
+fn write_seq(w: &mut Writer, items: impl IntoIterator<Item = impl Serialize>) {
+    w.begin_array();
+    for item in items {
+        w.element();
+        item.serialize(w);
     }
+    w.end_array();
 }
 
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+/// Reads a JSON array into any collection.
+fn read_seq<T: Deserialize, C: Default + Extend<T>>(r: &mut Reader<'_>) -> Result<C, Error> {
+    let mut out = C::default();
+    r.begin_array()?;
+    while r.next_element()? {
+        out.extend(Some(T::deserialize(r)?));
     }
+    Ok(out)
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        write_seq(w, self)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        write_seq(w, self)
     }
 }
 
-impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items = Vec::<T>::from_value(v)?;
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let items = Vec::<T>::deserialize(r)?;
         <[T; N]>::try_from(items).map_err(|_| Error::custom("wrong array length"))
     }
 }
 
-impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
+macro_rules! impl_seq {
+    ($($t:ident<T $(: $bound:ident $(+ $more:ident)*)? $(, $s:ident: $sbound:ident)?>),*) => {$(
+        impl<T: Serialize $(+ $bound $(+ $more)*)? $(, $s: $sbound)?> Serialize for $t<T $(, $s)?> {
+            fn serialize(&self, w: &mut Writer) {
+                write_seq(w, self)
+            }
+        }
+        impl<T: Deserialize $(+ $bound $(+ $more)*)? $(, $s: $sbound + Default)?> Deserialize for $t<T $(, $s)?> {
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                read_seq(r)
+            }
+        }
+    )*};
 }
 
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Serialize + Eq + Hash, S: BuildHasher> Serialize for HashSet<T, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + Eq + Hash, S: BuildHasher + Default> Deserialize for HashSet<T, S> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Serialize> Serialize for VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
+impl_seq!(Vec<T>, VecDeque<T>, BTreeSet<T: Ord>, HashSet<T: Eq + Hash, S: BuildHasher>);
 
 // Maps serialize as arrays of `[key, value]` pairs: keys in this workspace
 // are not always strings, and the representation only needs to round-trip
-// through the companion `serde_json` shim.
+// through this shim.
 impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn serialize(&self, w: &mut Writer) {
+        write_seq(w, self)
     }
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        map_pairs(v)?.collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        read_seq::<(K, V), _>(r)
     }
 }
 
 impl<K: Serialize + Eq + Hash, V: Serialize, S: BuildHasher> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn serialize(&self, w: &mut Writer) {
+        write_seq(w, self)
     }
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize, S: BuildHasher + Default> Deserialize
     for HashMap<K, V, S>
 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        map_pairs(v)?.collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        read_seq::<(K, V), _>(r)
     }
-}
-
-/// Iterates the `[key, value]` pairs of a serialized map.
-fn map_pairs<'a, K: Deserialize, V: Deserialize>(
-    v: &'a Value,
-) -> Result<impl Iterator<Item = Result<(K, V), Error>> + 'a, Error> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| Error::custom("expected array of pairs"))?;
-    Ok(items.iter().map(|pair| {
-        let pair = pair
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| Error::custom("expected [key, value] pair"))?;
-        Ok((K::from_value(&pair[0])?, V::from_value(&pair[1])?))
-    }))
 }
 
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, w: &mut Writer) {
+                w.begin_array();
+                $(
+                    w.element();
+                    self.$idx.serialize(w);
+                )+
+                w.end_array();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = v.as_array().ok_or_else(|| Error::custom("expected tuple array"))?;
-                let expected = [$($idx),+].len();
-                if items.len() != expected {
-                    return Err(Error::custom("wrong tuple length"));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                r.begin_array()?;
+                let value = ($({
+                    r.expect_element("tuple")?;
+                    $name::deserialize(r)?
+                },)+);
+                r.expect_end_array("tuple")?;
+                Ok(value)
             }
         }
     )*};
@@ -405,14 +408,14 @@ impl_tuple! {
 }
 
 impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
+    fn serialize(&self, w: &mut Writer) {
+        w.null()
     }
 }
 
 impl Deserialize for () {
-    fn from_value(_: &Value) -> Result<Self, Error> {
-        Ok(())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.skip_value()
     }
 }
 
@@ -420,19 +423,31 @@ impl Deserialize for () {
 mod tests {
     use super::*;
 
+    fn compact<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut w = Writer::compact();
+        value.serialize(&mut w);
+        w.into_string()
+    }
+
+    fn parse<T: Deserialize>(json: &str) -> Result<T, Error> {
+        let mut r = Reader::new(json.as_bytes());
+        let value = T::deserialize(&mut r)?;
+        r.end().map(|()| value)
+    }
+
+    fn round_trip<T: Serialize + Deserialize>(value: &T) -> T {
+        parse(&compact(value)).unwrap()
+    }
+
     #[test]
     fn primitive_round_trips() {
-        assert_eq!(u64::from_value(&u64::MAX.to_value()).unwrap(), u64::MAX);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
-        assert_eq!(
-            Vec::<u32>::from_value(&vec![1u32, 2, 3].to_value()).unwrap(),
-            vec![1, 2, 3]
-        );
-        assert_eq!(
-            Option::<u32>::from_value(&None::<u32>.to_value()).unwrap(),
-            None
-        );
+        assert_eq!(round_trip(&u64::MAX), u64::MAX);
+        assert_eq!(round_trip(&i64::MIN), i64::MIN);
+        assert_eq!(round_trip(&-7i64), -7);
+        assert_eq!(round_trip(&"hi".to_string()), "hi");
+        assert_eq!(round_trip(&vec![1u32, 2, 3]), vec![1, 2, 3]);
+        assert_eq!(round_trip(&None::<u32>), None);
+        assert_eq!(round_trip(&'é'), 'é');
     }
 
     #[test]
@@ -440,7 +455,54 @@ mod tests {
         let mut m = BTreeMap::new();
         m.insert(3u32, "three".to_string());
         m.insert(7, "seven".to_string());
-        let back = BTreeMap::<u32, String>::from_value(&m.to_value()).unwrap();
-        assert_eq!(back, m);
+        assert_eq!(compact(&m), r#"[[3,"three"],[7,"seven"]]"#);
+        assert_eq!(round_trip(&m), m);
+    }
+
+    #[test]
+    fn integral_floats_convert_only_exactly_and_in_range() {
+        assert_eq!(parse::<u8>("255.0").unwrap(), 255);
+        assert_eq!(parse::<i32>("-3.0").unwrap(), -3);
+        assert_eq!(parse::<u64>("1e3").unwrap(), 1000);
+        assert!(parse::<u8>("300.0").is_err());
+        assert!(parse::<u8>("256").is_err());
+        assert!(parse::<u32>("-1.0").is_err());
+        assert!(parse::<u32>("-1").is_err());
+        assert!(parse::<u32>("1.5").is_err());
+        assert!(parse::<u64>("1e300").is_err());
+        assert!(parse::<u64>("18446744073709551616.0").is_err());
+        assert!(parse::<i64>("-1e19").is_err());
+    }
+
+    #[test]
+    fn tuples_must_have_their_exact_length() {
+        assert_eq!(parse::<(u8, bool)>("[1, true]").unwrap(), (1, true));
+        assert!(parse::<(u8, bool)>("[1]").is_err());
+        assert!(parse::<(u8, bool)>("[1, true, 2]").is_err());
+    }
+
+    #[test]
+    fn value_parses_itself_and_unknown_shapes_are_rejected() {
+        let v: Value = parse(r#" {"a": [1, -2.5, null, true], "b": {}} "#).unwrap();
+        assert_eq!(
+            v,
+            Value::Object(vec![
+                (
+                    "a".into(),
+                    Value::Array(vec![
+                        Value::Int(1),
+                        Value::Float(-2.5),
+                        Value::Null,
+                        Value::Bool(true)
+                    ])
+                ),
+                ("b".into(), Value::Object(Vec::new())),
+            ])
+        );
+        assert_eq!(compact(&v), r#"{"a":[1,-2.5,null,true],"b":{}}"#);
+        assert!(parse::<Value>("nul").is_err());
+        assert!(parse::<Value>("[1,]").is_err());
+        assert!(parse::<Value>(r#"{"a":1,}"#).is_err());
+        assert!(parse::<Value>("[1 2]").is_err());
     }
 }

@@ -8,10 +8,17 @@
 //! else is a compile error so that silent divergence from upstream serde
 //! semantics cannot creep in.
 //!
+//! The generated impls write straight into the shim's JSON `Writer` and read
+//! straight from its pull parser, `Reader`; no value tree is built.
 //! Serialized forms mirror upstream serde's JSON conventions: structs become
-//! objects, newtype structs are transparent, unit enum variants become
-//! strings, and data-carrying variants become externally tagged
-//! single-field objects.
+//! objects with their fields in declaration order, newtype structs are
+//! transparent, unit enum variants become strings, and data-carrying
+//! variants become externally tagged single-field objects.  Deserializing a
+//! struct accepts its fields in any order, ignores unknown (and skipped)
+//! keys, keeps the first of a repeated key, fills absent `default` fields
+//! with `Default::default()`, and otherwise fails with
+//! ``missing field `name` of `Type` `` for the first absent field in
+//! declaration order.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -270,76 +277,78 @@ fn parse_input(input: TokenStream) -> Input {
 // Code generation
 // ---------------------------------------------------------------------------
 
+const SER: &str = "::serde::Serialize::serialize";
+const DE: &str = "::serde::Deserialize::deserialize";
+
+/// Writes the non-skipped `fields` as an object; `access` maps a field name
+/// to an expression of reference type.
+fn gen_write_object(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut code = String::from("__w.begin_object();\n");
+    for f in fields.iter().filter(|f| !f.skip) {
+        code.push_str(&format!(
+            "__w.key(\"{n}\");\n{SER}({a}, __w);\n",
+            n = f.name,
+            a = access(&f.name)
+        ));
+    }
+    code.push_str("__w.end_object();\n");
+    code
+}
+
+/// Writes a one-member object `{"tag": <payload>}`.
+fn gen_tagged(tag: &str, payload: &str) -> String {
+    format!("__w.begin_object();\n__w.key(\"{tag}\");\n{payload}__w.end_object();\n")
+}
+
+/// Writes `items` (expressions of reference type) as an array.
+fn gen_write_array(items: &[String]) -> String {
+    let mut code = String::from("__w.begin_array();\n");
+    for item in items {
+        code.push_str(&format!("__w.element();\n{SER}({item}, __w);\n"));
+    }
+    code.push_str("__w.end_array();\n");
+    code
+}
+
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.kind {
-        InputKind::NamedStruct(fields) => {
-            let mut pushes = String::new();
-            for f in fields {
-                if f.skip {
-                    continue;
-                }
-                pushes.push_str(&format!(
-                    "__fields.push((\"{n}\".to_string(), ::serde::Serialize::to_value(&self.{n})));\n",
-                    n = f.name
-                ));
-            }
-            format!(
-                "let mut __fields: Vec<(String, ::serde::Value)> = Vec::new();\n\
-                 {pushes}\
-                 ::serde::Value::Object(__fields)"
-            )
-        }
-        InputKind::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        InputKind::NamedStruct(fields) => gen_write_object(fields, |n| format!("&self.{n}")),
+        InputKind::TupleStruct(1) => format!("{SER}(&self.0, __w);"),
         InputKind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
+            gen_write_array(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>())
         }
-        InputKind::UnitStruct => "::serde::Value::Null".to_string(),
+        InputKind::UnitStruct => "__w.null();".to_string(),
         InputKind::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
                     match &v.kind {
-                        VariantKind::Unit => format!(
-                            "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),"
-                        ),
+                        VariantKind::Unit => format!("{name}::{vn} => __w.string(\"{vn}\"),"),
                         VariantKind::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("__x{i}")).collect();
                             let payload = if *n == 1 {
-                                "::serde::Serialize::to_value(__x0)".to_string()
+                                format!("{SER}(__x0, __w);\n")
                             } else {
-                                let items: Vec<String> = binds
-                                    .iter()
-                                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                    .collect();
-                                format!("::serde::Value::Array(vec![{}])", items.join(", "))
+                                gen_write_array(&binds)
                             };
                             format!(
-                                "{name}::{vn}({binds}) => ::serde::Value::Object(vec![(\"{vn}\".to_string(), {payload})]),",
-                                binds = binds.join(", ")
+                                "{name}::{vn}({binds}) => {{\n{tagged}}}",
+                                binds = binds.join(", "),
+                                tagged = gen_tagged(vn, &payload)
                             )
                         }
                         VariantKind::Struct(fields) => {
-                            let binds: Vec<String> =
-                                fields.iter().map(|f| f.name.clone()).collect();
-                            let items: Vec<String> = fields
+                            let binds: Vec<&str> = fields
                                 .iter()
                                 .filter(|f| !f.skip)
-                                .map(|f| {
-                                    format!(
-                                        "(\"{n}\".to_string(), ::serde::Serialize::to_value({n}))",
-                                        n = f.name
-                                    )
-                                })
+                                .map(|f| f.name.as_str())
                                 .collect();
                             format!(
-                                "{name}::{vn} {{ {binds} }} => ::serde::Value::Object(vec![(\"{vn}\".to_string(), ::serde::Value::Object(vec![{items}]))]),",
-                                binds = binds.join(", "),
-                                items = items.join(", ")
+                                "{name}::{vn} {{ {binds} .. }} => {{\n{tagged}}}",
+                                binds = binds.iter().map(|b| format!("{b}, ")).collect::<String>(),
+                                tagged = gen_tagged(vn, &gen_write_object(fields, str::to_string))
                             )
                         }
                     }
@@ -350,130 +359,133 @@ fn gen_serialize(input: &Input) -> String {
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-            fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+            fn serialize(&self, __w: &mut ::serde::Writer) {{\n{body}\n}}\n\
          }}"
     )
 }
 
-fn gen_named_field_inits(fields: &[Field], obj_expr: &str, type_name: &str) -> String {
-    fields
+/// An expression reading an object into `ctor { fields }`: members in any
+/// order, the first of a repeated key wins, unknown and skipped keys are
+/// ignored, `default` fields may be absent, and the first absent required
+/// field (in declaration order) is the error.
+fn gen_read_object(fields: &[Field], ctor: &str, type_name: &str) -> String {
+    let mut code = format!(
+        "if __r.peek() != ::core::option::Option::Some(b'{{') {{\n\
+             return ::core::result::Result::Err(::serde::Error::custom(\"expected object for `{ctor}`\"));\n\
+         }}\n"
+    );
+    let read: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    for f in &read {
+        code.push_str(&format!(
+            "let mut __f_{n} = ::core::option::Option::None;\n",
+            n = f.name
+        ));
+    }
+    code.push_str("__r.begin_object()?;\nwhile let ::core::option::Option::Some(__key) = __r.next_key()? {\nmatch &*__key {\n");
+    for f in &read {
+        code.push_str(&format!(
+            "\"{n}\" if __f_{n}.is_none() => __f_{n} = ::core::option::Option::Some({DE}(__r)?),\n",
+            n = f.name
+        ));
+    }
+    code.push_str("_ => __r.skip_value()?,\n}\n}\n");
+    let inits: Vec<String> = fields
         .iter()
         .map(|f| {
             let n = &f.name;
             if f.skip {
                 format!("{n}: ::core::default::Default::default(),")
             } else if f.default {
-                format!(
-                    "{n}: match {obj_expr}.get(\"{n}\") {{\n\
-                         Some(__v) => ::serde::Deserialize::from_value(__v)?,\n\
-                         None => ::core::default::Default::default(),\n\
-                     }},"
-                )
+                format!("{n}: __f_{n}.unwrap_or_default(),")
             } else {
                 format!(
-                    "{n}: ::serde::Deserialize::from_value({obj_expr}.get(\"{n}\").ok_or_else(|| \
-                     ::serde::Error::custom(\"missing field `{n}` of `{type_name}`\"))?)?,"
+                    "{n}: match __f_{n} {{\n\
+                         ::core::option::Option::Some(__v) => __v,\n\
+                         ::core::option::Option::None => return ::core::result::Result::Err(\
+                             ::serde::Error::custom(\"missing field `{n}` of `{type_name}`\")),\n\
+                     }},"
                 )
             }
         })
-        .collect::<Vec<_>>()
-        .join("\n")
+        .collect();
+    format!("{{\n{code}{ctor} {{\n{}\n}}\n}}", inits.join("\n"))
+}
+
+/// An expression reading a `len`-element array into `ctor(..)`.
+fn gen_read_array(len: usize, ctor: &str) -> String {
+    let items: Vec<String> = (0..len)
+        .map(|_| format!("{{ __r.expect_element(\"{ctor}\")?; {DE}(__r)? }}"))
+        .collect();
+    format!(
+        "{{\n__r.begin_array()?;\n\
+         let __value = {ctor}({items});\n\
+         __r.expect_end_array(\"{ctor}\")?;\n\
+         __value\n}}",
+        items = items.join(", ")
+    )
 }
 
 fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
+    let ok = |value: String| format!("::core::result::Result::Ok({value})");
     let body = match &input.kind {
-        InputKind::NamedStruct(fields) => {
-            let inits = gen_named_field_inits(fields, "__v", name);
-            format!(
-                "if __v.as_object().is_none() {{\n\
-                     return Err(::serde::Error::custom(\"expected object for `{name}`\"));\n\
-                 }}\n\
-                 Ok({name} {{\n{inits}\n}})"
-            )
-        }
-        InputKind::TupleStruct(1) => {
-            format!("Ok({name}(::serde::Deserialize::from_value(__v)?))")
-        }
-        InputKind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                .collect();
-            format!(
-                "let __items = __v.as_array().ok_or_else(|| ::serde::Error::custom(\"expected array for `{name}`\"))?;\n\
-                 if __items.len() != {n} {{\n\
-                     return Err(::serde::Error::custom(\"wrong arity for `{name}`\"));\n\
-                 }}\n\
-                 Ok({name}({items}))",
-                items = items.join(", ")
-            )
-        }
-        InputKind::UnitStruct => format!("Ok({name})"),
+        InputKind::NamedStruct(fields) => ok(gen_read_object(fields, name, name)),
+        InputKind::TupleStruct(1) => ok(format!("{name}({DE}(__r)?)")),
+        InputKind::TupleStruct(n) => ok(gen_read_array(*n, name)),
+        InputKind::UnitStruct => format!("__r.skip_value()?;\n{}", ok(name.clone())),
         InputKind::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{vn}\" => return Ok({name}::{vn}),", vn = v.name))
-                .collect();
-            let tagged_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| {
-                    let vn = &v.name;
-                    match &v.kind {
-                        VariantKind::Unit => None,
-                        VariantKind::Tuple(1) => Some(format!(
-                            "\"{vn}\" => return Ok({name}::{vn}(::serde::Deserialize::from_value(__payload)?)),"
-                        )),
-                        VariantKind::Tuple(n) => {
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => {{\n\
-                                     let __items = __payload.as_array().ok_or_else(|| ::serde::Error::custom(\"expected array payload for `{name}::{vn}`\"))?;\n\
-                                     if __items.len() != {n} {{\n\
-                                         return Err(::serde::Error::custom(\"wrong arity for `{name}::{vn}`\"));\n\
-                                     }}\n\
-                                     return Ok({name}::{vn}({items}));\n\
-                                 }}",
-                                items = items.join(", ")
-                            ))
-                        }
-                        VariantKind::Struct(fields) => {
-                            let inits = gen_named_field_inits(fields, "__payload", name);
-                            Some(format!(
-                                "\"{vn}\" => {{\n\
-                                     return Ok({name}::{vn} {{\n{inits}\n}});\n\
-                                 }}"
-                            ))
-                        }
+            // A unit variant is a string; any other is a one-member object
+            // `{"Variant": payload}`.
+            let mut unit_arms = String::new();
+            let mut tagged_arms = String::new();
+            for v in variants {
+                let vn = &v.name;
+                let ctor = format!("{name}::{vn}");
+                let read = match &v.kind {
+                    VariantKind::Unit => {
+                        unit_arms.push_str(&format!("\"{vn}\" => return {},\n", ok(ctor)));
+                        continue;
                     }
-                })
-                .collect();
-            format!(
-                "match __v {{\n\
-                     ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                         {unit_arms}\n\
-                         _ => {{}}\n\
-                     }},\n\
-                     ::serde::Value::Object(__fields) if __fields.len() == 1 => {{\n\
-                         let (__tag, __payload) = &__fields[0];\n\
-                         match __tag.as_str() {{\n\
-                             {tagged_arms}\n\
-                             _ => {{}}\n\
+                    VariantKind::Tuple(1) => format!("{ctor}({DE}(__r)?)"),
+                    VariantKind::Tuple(n) => gen_read_array(*n, &ctor),
+                    VariantKind::Struct(fields) => gen_read_object(fields, &ctor, name),
+                };
+                tagged_arms.push_str(&format!("\"{vn}\" => {read},\n"));
+            }
+            let unknown = format!(
+                "::core::result::Result::Err(::serde::Error::custom(\"unknown variant of `{name}`\"))"
+            );
+            let mut code = String::from("match __r.peek() {\n");
+            if !unit_arms.is_empty() {
+                code.push_str(&format!(
+                    "::core::option::Option::Some(b'\"') => match &*__r.string()? {{\n\
+                         {unit_arms}_ => {{}}\n\
+                     }},\n"
+                ));
+            }
+            if !tagged_arms.is_empty() {
+                code.push_str(&format!(
+                    "::core::option::Option::Some(b'{{') => {{\n\
+                         __r.begin_object()?;\n\
+                         if let ::core::option::Option::Some(__tag) = __r.next_key()? {{\n\
+                             let __value = match &*__tag {{\n\
+                                 {tagged_arms}_ => return {unknown},\n\
+                             }};\n\
+                             if __r.next_key()?.is_none() {{\n\
+                                 return {ok_value};\n\
+                             }}\n\
                          }}\n\
-                     }}\n\
-                     _ => {{}}\n\
-                 }}\n\
-                 Err(::serde::Error::custom(\"unknown variant of `{name}`\"))",
-                unit_arms = unit_arms.join("\n"),
-                tagged_arms = tagged_arms.join("\n")
-            )
+                     }}\n",
+                    ok_value = ok("__value".into())
+                ));
+            }
+            code.push_str(&format!("_ => {{}}\n}}\n{unknown}"));
+            code
         }
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-            fn from_value(__v: &::serde::Value) -> ::core::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
+            fn deserialize(__r: &mut ::serde::Reader<'_>) -> ::core::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
          }}"
     )
 }

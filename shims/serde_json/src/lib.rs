@@ -1,30 +1,34 @@
-//! Minimal offline stand-in for `serde_json`, rendering and parsing the
-//! [`serde::Value`] tree of the vendored serde shim.
+//! Minimal offline stand-in for `serde_json`: the entry points over the
+//! vendored serde shim's JSON [`Writer`] and pull parser ([`Reader`]).
 //!
 //! Supports the functions used in this workspace: [`to_string`],
-//! [`to_string_pretty`], [`to_vec_pretty`], [`from_str`], plus
-//! [`to_value`]/[`from_value`] conversions. Output is valid JSON; integers
-//! round-trip exactly (including `u64`), floats use Rust's shortest
-//! round-trippable formatting, and non-finite floats serialize as `null`
-//! (deserializing back to `NaN`).
+//! [`to_string_pretty`], [`to_vec`], [`to_vec_pretty`], [`from_str`] and
+//! [`from_slice`].  Values are written and parsed directly, without an
+//! intermediate tree; [`Value`] is just one more type that serializes and
+//! parses itself.  Output is valid JSON; integers round-trip exactly
+//! (including `u64`), floats use Rust's shortest round-trippable formatting,
+//! and non-finite floats serialize as `null` (deserializing back to `NaN`).
+//! Pretty output indents by two spaces; [`Writer::pretty_at`] starts it at
+//! a given depth, so a fragment can be spliced into an enclosing document.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use serde::{Error, Value};
+pub use serde::{Error, Reader, Value, Writer};
+
+fn write<T: serde::Serialize + ?Sized>(mut w: Writer, value: &T) -> Result<String, Error> {
+    value.serialize(&mut w);
+    Ok(w.into_string())
+}
 
 /// Serializes `value` as a compact JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    write(Writer::compact(), value)
 }
 
 /// Serializes `value` as pretty-printed JSON (two-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    write(Writer::pretty(), value)
 }
 
 /// Serializes `value` as pretty-printed JSON bytes.
@@ -39,349 +43,15 @@ pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error>
 
 /// Parses a value of type `T` from a JSON string.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    T::from_value(&value)
+    from_slice(s.as_bytes())
 }
 
 /// Parses a value of type `T` from JSON bytes.
 pub fn from_slice<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, Error> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error::custom(format!("invalid UTF-8: {e}")))?;
-    from_str(s)
-}
-
-/// Converts any serializable value into a [`Value`] tree.
-pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.to_value())
-}
-
-/// Reconstructs a deserializable value from a [`Value`] tree.
-pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T, Error> {
-    T::from_value(&value)
-}
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{}` is Rust's shortest round-trippable float formatting;
-                // force a fractional part so the value re-parses as a float.
-                let s = format!("{f}");
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, value)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, value, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            None => Err(Error::custom("unexpected end of JSON input")),
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(Error::custom(format!(
-                "unexpected character `{}` at byte {}",
-                b as char, self.pos
-            ))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::custom("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(Error::custom("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Copy unescaped runs wholesale.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| Error::custom(format!("invalid UTF-8 in string: {e}")))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::custom("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.eat_literal("\\u") {
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    0xFFFD
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => return Err(Error::custom("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        let hex = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-        let s = std::str::from_utf8(hex).map_err(|_| Error::custom("invalid \\u escape"))?;
-        let code = u32::from_str_radix(s, 16).map_err(|_| Error::custom("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        } else {
-            text.parse::<i128>()
-                .map(Value::Int)
-                .or_else(|_| text.parse::<f64>().map(Value::Float))
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        }
-    }
+    let mut reader = Reader::new(bytes);
+    let value = T::deserialize(&mut reader)?;
+    reader.end()?;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -397,18 +67,36 @@ mod tests {
             u64::MAX
         );
         assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+        assert!(from_str::<f64>("null").unwrap().is_nan());
         assert_eq!(from_str::<f64>("1.5e3").unwrap(), 1500.0);
-        assert_eq!(to_string(&"a\"b\n").unwrap(), r#""a\"b\n""#);
-        assert_eq!(from_str::<String>(r#""a\"b\n""#).unwrap(), "a\"b\n");
+        assert_eq!(to_string(&"a\"b\n\u{1}").unwrap(), r#""a\"b\n\u0001""#);
+        assert_eq!(
+            from_str::<String>(r#""a\"b\n\u0001""#).unwrap(),
+            "a\"b\n\u{1}"
+        );
         assert_eq!(from_str::<String>(r#""é😀""#).unwrap(), "é😀");
+        assert_eq!(from_str::<String>(r#""\ud83d\ude00""#).unwrap(), "😀");
     }
 
     #[test]
     fn containers_round_trip() {
         let v = vec![(1u32, "one".to_string()), (2, "two".to_string())];
         let json = to_string_pretty(&v).unwrap();
+        assert_eq!(
+            json,
+            "[\n  [\n    1,\n    \"one\"\n  ],\n  [\n    2,\n    \"two\"\n  ]\n]"
+        );
         let back: Vec<(u32, String)> = from_str(&json).unwrap();
         assert_eq!(back, v);
+        assert_eq!(to_string_pretty(&Vec::<u8>::new()).unwrap(), "[]");
+    }
+
+    #[test]
+    fn pretty_at_lays_out_a_nested_fragment() {
+        let mut w = Writer::pretty_at(String::from("["), 1);
+        serde::Serialize::serialize(&vec![1u8], &mut w);
+        assert_eq!(w.into_string(), "[[\n    1\n  ]");
     }
 
     #[test]
@@ -417,5 +105,29 @@ mod tests {
         assert!(from_str::<u32>("12 34").is_err());
         assert!(from_str::<Vec<u32>>("[1, 2").is_err());
         assert!(from_str::<String>("\"abc").is_err());
+        assert!(from_slice::<String>(b"\"\xff\"").is_err());
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_one() {
+        for bad in [
+            r#""\ud800\u0041""#,
+            r#""\ud800A""#,
+            r#""\ud800""#,
+            r#""\ud800x""#,
+            r#""\ud800\ud800""#,
+            r#""\udc00""#,
+        ] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad} must be rejected");
+            assert!(from_str::<String>(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn integers_never_saturate() {
+        assert!(from_str::<u8>("300.0").is_err());
+        assert!(from_str::<u32>("-1.0").is_err());
+        assert!(from_str::<u32>("2.5").is_err());
+        assert_eq!(from_str::<u32>("7.0").unwrap(), 7);
     }
 }
