@@ -784,6 +784,7 @@ impl Command {
                     &options,
                     chunks.as_mut(),
                     chunks_path.as_deref(),
+                    &mut None,
                 )
                 .inspect_err(|_| session.abort())?;
                 writeln!(

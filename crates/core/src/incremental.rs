@@ -651,16 +651,48 @@ impl IncrementalPipeline {
         config: DisassociationConfig,
         source: &mut S,
     ) -> Result<Self, Error> {
+        Self::build_reusing(config, source, None)
+    }
+
+    /// Like [`build`](IncrementalPipeline::build), but moves over each run
+    /// of `previous` that a fresh build would reproduce: the run at the same
+    /// batch index, when the configuration is equal, the run has had no
+    /// append and its records equal the scanned batch.  A run's build is a
+    /// pure function of the configuration and the batch's records (its RNG
+    /// seeds never involve the batch index), so the result publishes the
+    /// same bytes as `build`.  Every other batch is built fresh.
+    ///
+    /// Over an append-only source only the tail batch changes between two
+    /// builds, so every batch before it is reused.
+    pub fn build_reusing<S: RecordSource + ?Sized>(
+        config: DisassociationConfig,
+        source: &mut S,
+        previous: Option<IncrementalPipeline>,
+    ) -> Result<Self, Error> {
         let disassociator = Disassociator::try_new(config)?;
+        let mut previous = previous
+            .filter(|p| p.disassociator.config() == disassociator.config())
+            .map(|p| p.batches)
+            .unwrap_or_default()
+            .into_iter();
         let mut batches = Vec::new();
         while let Some(batch) = source.next_batch().map_err(Error::Source)? {
             if batch.is_empty() {
                 continue;
             }
-            batches.push(IncrementalRun::build(
-                disassociator.clone(),
-                Dataset::from_records(batch),
-            ));
+            let reusable = previous
+                .next()
+                .filter(|run| run.generation() == 0 && run.records() == batch.as_slice());
+            batches.push(match reusable {
+                Some(run) => {
+                    obs_counters::INCR_BATCHES_REUSED.inc();
+                    run
+                }
+                None => {
+                    obs_counters::INCR_BATCHES_BUILT.inc();
+                    IncrementalRun::build(disassociator.clone(), Dataset::from_records(batch))
+                }
+            });
         }
         let dirty = vec![true; batches.len()];
         Ok(IncrementalPipeline {
@@ -694,9 +726,40 @@ impl IncrementalPipeline {
         self.batches.iter().map(IncrementalRun::cluster_count).sum()
     }
 
+    /// Replaces the run of batch `index` with `run` (marking the batch
+    /// dirty) and returns the run it held.  Together with
+    /// [`append_target`](IncrementalPipeline::append_target) this lets a
+    /// caller keep a copy of the one batch an append changes and put it back
+    /// afterwards, turning the pipeline into a pure build again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn replace_batch(&mut self, index: usize, run: IncrementalRun) -> IncrementalRun {
+        self.dirty[index] = true;
+        std::mem::replace(&mut self.batches[index], run)
+    }
+
     /// Appends with default [`AppendOptions`].
     pub fn append(&mut self, new_records: &[Record]) -> AppendOutcome {
         self.append_with(new_records, &AppendOptions::default())
+    }
+
+    /// The batch an append of `new_records` routes into: the one whose
+    /// recorded splits match the records best in aggregate, ties to the
+    /// earliest batch.  `None` when the pipeline has no batch yet.
+    pub fn append_target(&self, new_records: &[Record]) -> Option<usize> {
+        self.batches
+            .iter()
+            .enumerate()
+            .max_by_key(|(i, run)| {
+                let affinity: usize = new_records
+                    .iter()
+                    .map(|record| run.route_affinity(record).map_or(0, |d| d + 1))
+                    .sum();
+                (affinity, usize::MAX - *i)
+            })
+            .map(|(i, _)| i)
     }
 
     /// Routes the append **as a unit** to the batch whose recorded splits
@@ -723,21 +786,7 @@ impl IncrementalPipeline {
             ));
             self.dirty.push(true);
         }
-        let best = self
-            .batches
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, run)| {
-                // Highest aggregate affinity wins; ties go to the earliest
-                // batch.
-                let affinity: usize = new_records
-                    .iter()
-                    .map(|record| run.route_affinity(record).map_or(0, |d| d + 1))
-                    .sum();
-                (affinity, usize::MAX - *i)
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let best = self.append_target(new_records).unwrap_or(0);
         let mut total = AppendOutcome::reuse_all(0);
         for (i, run) in self.batches.iter_mut().enumerate() {
             if i == best {
@@ -844,6 +893,7 @@ mod tests {
     use super::*;
     use crate::pipeline::DatasetSource;
     use crate::verify::verify_structure;
+    use proptest::prelude::*;
     use rand::Rng;
     use transact::TermId;
 
@@ -1043,5 +1093,101 @@ mod tests {
         assert_eq!(delivered, vec![1]);
         assert!(pipeline.dirty_batches().is_empty());
         assert!(verify_structure(&pipeline.combined_output().dataset).is_ok());
+    }
+
+    /// Every batch `publish_all` delivers, serialized with its position.
+    fn published_bytes(pipeline: &mut IncrementalPipeline) -> String {
+        let mut out = String::new();
+        let mut sink = crate::pipeline::FnSink::new(|b: BatchOutput| {
+            out += &format!("{}@{}:", b.batch_index, b.record_offset);
+            out += &serde_json::to_string(&b.output.dataset).unwrap();
+        });
+        pipeline.publish_all(&mut sink).unwrap();
+        let _ = sink;
+        out
+    }
+
+    /// One step of a daemon's life: a tail ingest, an append, a new
+    /// configuration or a new batch size.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Ingest(Vec<Record>),
+        Append(Vec<Record>),
+        Config(u64),
+        BatchSize(usize),
+    }
+
+    fn arb_record() -> impl Strategy<Value = Record> {
+        proptest::collection::vec(0u32..20, 1..7)
+            .prop_map(|v| Record::from_ids(v.into_iter().map(TermId::new)))
+    }
+
+    fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+        let records = proptest::collection::vec(arb_record(), 1..25);
+        let step = (0u8..6, records, 8usize..40).prop_map(|(kind, records, n)| match kind {
+            0 => Step::Ingest(records),
+            1..=3 => Step::Append(records),
+            4 => Step::Config(n as u64),
+            _ => Step::BatchSize(n),
+        });
+        proptest::collection::vec(step, 1..10)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The memo protocol of `disassoc_store::ops::append`: build
+        /// through the previous build, append, then put the appended batch's
+        /// pre-append run back.  Every build through the memo publishes
+        /// the bytes of a build from scratch, before and after the append.
+        #[test]
+        fn builds_through_the_memo_publish_the_bytes_of_a_fresh_build(
+            base in proptest::collection::vec(arb_record(), 0..80),
+            steps in arb_steps(),
+        ) {
+            let mut store = base;
+            let mut cfg = DisassociationConfig { parallel: false, ..config(2, 2) };
+            let mut batch_size = 20;
+            let mut memo: Option<IncrementalPipeline> = None;
+            let options = AppendOptions { max_dirty_fraction: 1.0 };
+            for step in steps {
+                let records = match step {
+                    Step::Ingest(records) => {
+                        store.extend(records);
+                        continue;
+                    }
+                    Step::Config(n) => {
+                        cfg.k = 2 + (n % 3) as usize;
+                        cfg.seed = n / 3;
+                        continue;
+                    }
+                    Step::BatchSize(n) => {
+                        batch_size = n;
+                        continue;
+                    }
+                    Step::Append(records) => records,
+                };
+                let dataset = Dataset::from_records(store.clone());
+                let mut source = DatasetSource::new(&dataset, batch_size);
+                let mut pipeline =
+                    IncrementalPipeline::build_reusing(cfg.clone(), &mut source, memo.take())
+                        .unwrap();
+                let mut source = DatasetSource::new(&dataset, batch_size);
+                let mut fresh = IncrementalPipeline::build(cfg.clone(), &mut source).unwrap();
+                prop_assert_eq!(published_bytes(&mut pipeline), published_bytes(&mut fresh));
+
+                let base = pipeline
+                    .append_target(&records)
+                    .map(|i| (i, pipeline.batches()[i].clone()));
+                let outcome = pipeline.append_with(&records, &options);
+                prop_assert_eq!(outcome, fresh.append_with(&records, &options));
+                prop_assert_eq!(published_bytes(&mut pipeline), published_bytes(&mut fresh));
+                if let Some((i, run)) = base {
+                    pipeline.replace_batch(i, run);
+                    memo = Some(pipeline);
+                }
+                store.extend(records);
+            }
+        }
     }
 }

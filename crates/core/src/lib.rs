@@ -83,7 +83,7 @@ use transact::{Dataset, TermId};
 use verpart::VerPartOptions;
 
 /// Configuration of a disassociation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DisassociationConfig {
     /// The `k` of the k^m-anonymity guarantee (paper default: 5).
     pub k: usize,

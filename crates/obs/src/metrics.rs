@@ -261,6 +261,8 @@ pub mod counters {
         INCR_ROUTED_RECORDS => ("incr.routed_records", "Appended records routed into an existing cluster slot");
         INCR_DIRTY_CLUSTERS => ("incr.dirty_clusters", "Clusters marked dirty by appends");
         INCR_BUDGET_OVERFLOWS => ("incr.budget_overflows", "Appended records diverted to overflow by the dirty-cluster budget");
+        INCR_BATCHES_BUILT => ("incr.batches_built", "Incremental pipeline batches built from their records");
+        INCR_BATCHES_REUSED => ("incr.batches_reused", "Incremental pipeline batches moved over unchanged from the previous build");
         // --- serve (the `disassoc serve` daemon) --------------------------
         SERVE_REQUESTS => ("serve.requests", "HTTP requests accepted by the service");
         SERVE_REQUESTS_REJECTED => ("serve.requests_rejected", "HTTP requests answered with a 4xx/5xx status");

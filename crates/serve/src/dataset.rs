@@ -16,6 +16,13 @@
 //! stages the flat file beside its final path and commits it with an fsync
 //! and a seam-covered rename.
 //!
+//! The append job keeps the last incremental build of each dataset in
+//! memory (the *memo*, see [`disassoc_store::ops::append`]), so an append
+//! rebuilds only the store's tail batch instead of every batch.  The memo
+//! lives beside the open [`Store`], under the same lock, and costs about one
+//! incremental build of the dataset: its records plus their published
+//! clusters.
+//!
 //! The [`Store`] and [`ChunkDir`] are opened lazily on first use and then
 //! held open for the daemon's lifetime, so the store's advisory `LOCK` file
 //! (→ [`disassoc_store::StoreError::Locked`]) excludes any other process — a second daemon
@@ -30,6 +37,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::ServeError;
 use disassoc_store::{ChunkDir, Store, StoreConfig};
+use disassociation::IncrementalPipeline;
 
 /// Recovers from a poisoned mutex: a panicking worker must degrade that one
 /// job to a 500, not wedge the dataset for the rest of the daemon's life.
@@ -39,12 +47,18 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// An open store and the append memo built from it.
+struct OpenStore {
+    store: Store,
+    memo: Option<IncrementalPipeline>,
+}
+
 /// One served dataset: its directories, lazily-opened handles, and the
 /// pending-job counter backing the per-dataset backpressure bound.
 pub struct DatasetHandle {
     name: String,
     dir: PathBuf,
-    store: Mutex<Option<Store>>,
+    store: Mutex<Option<OpenStore>>,
     publication: Mutex<Option<ChunkDir>>,
     pending_jobs: AtomicUsize,
     degraded: Mutex<Option<String>>,
@@ -133,13 +147,27 @@ impl DatasetHandle {
         &self,
         f: impl FnOnce(&mut Store) -> Result<T, ServeError>,
     ) -> Result<T, ServeError> {
+        self.with_store_and_memo(|store, _| f(store))
+    }
+
+    /// Like [`with_store`](Self::with_store), also lending the append memo:
+    /// the last incremental build of this store, read and replaced only
+    /// under the store lock.
+    pub fn with_store_and_memo<T>(
+        &self,
+        f: impl FnOnce(&mut Store, &mut Option<IncrementalPipeline>) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
         let mut guard = lock_unpoisoned(&self.store);
         if guard.is_none() {
             std::fs::create_dir_all(&self.dir).map_err(ServeError::from)?;
-            *guard = Some(Store::open(self.store_dir(), StoreConfig::default())?);
+            *guard = Some(OpenStore {
+                store: Store::open(self.store_dir(), StoreConfig::default())?,
+                memo: None,
+            });
         }
         // lint:allow(panic, "the guard was filled two lines up under the same lock")
-        f(guard.as_mut().expect("store opened above"))
+        let open = guard.as_mut().expect("store opened above");
+        f(&mut open.store, &mut open.memo)
     }
 
     /// Like [`with_store`](Self::with_store) but never blocks: `None` when
@@ -157,9 +185,12 @@ impl DatasetHandle {
             if !self.store_exists() {
                 return None;
             }
-            *guard = Some(Store::open(self.store_dir(), StoreConfig::default()).ok()?);
+            *guard = Some(OpenStore {
+                store: Store::open(self.store_dir(), StoreConfig::default()).ok()?,
+                memo: None,
+            });
         }
-        guard.as_mut().map(f)
+        guard.as_mut().map(|open| f(&mut open.store))
     }
 
     /// Whether the store has ever been materialized on disk (ingested into),
@@ -188,11 +219,12 @@ impl DatasetHandle {
     /// Flushes and closes the store (if open) so a graceful shutdown leaves
     /// nothing in the memtable that the WAL has not already made
     /// recoverable — and releases the advisory lock, letting a successor
-    /// (next daemon, CLI) take the dataset over immediately.
+    /// (next daemon, CLI) take the dataset over immediately.  The append
+    /// memo is dropped with the store.
     pub fn shutdown_flush(&self) -> Result<(), ServeError> {
         let mut guard = lock_unpoisoned(&self.store);
         let flushed = match guard.as_mut() {
-            Some(store) => store.flush().map_err(ServeError::from),
+            Some(open) => open.store.flush().map_err(ServeError::from),
             None => Ok(()),
         };
         // Close (and unlock) even when the flush failed: everything

@@ -13,7 +13,7 @@
 //! |---|---|
 //! | `POST /datasets/{name}/records` | ingest numeric-transaction lines into the dataset's WAL+memtable store (acknowledged = crash-durable) |
 //! | `POST /datasets/{name}/anonymize?k=&m=` | full re-anonymization through [`disassoc_store::ops::anonymize`], atomically republishing the chunk dir and flat publication |
-//! | `POST /datasets/{name}/append?k=&m=` | incremental append through [`disassoc_store::ops::append`]; only changed chunk files are rewritten |
+//! | `POST /datasets/{name}/append?k=&m=` | incremental append through [`disassoc_store::ops::append`], building through the dataset's memo of the last build; only changed chunk files are rewritten |
 //! | `GET /datasets/{name}/chunks[?term=]` | the publication — flat-file bytes verbatim, or term-filtered via the committed chunk batches |
 //! | `GET /datasets` · `GET /datasets/{name}` | admin: dataset list / single summary |
 //! | `GET /metrics` · `GET /healthz` | admin: [`disassoc_obs`] counter snapshot as JSON / liveness |

@@ -603,9 +603,10 @@ fn append(state: &Arc<State>, name: &str, request: &Request) -> Result<Response,
     })
 }
 
-/// The append job body: [`ops::append`] rebuilds the incremental state from
-/// the store, routes the new records in, persists them, and republishes the
-/// ChunkDir and the flat file.
+/// The append job body: [`ops::append`] builds the incremental state from
+/// the store through the dataset's memo (rebuilding only the batches that
+/// changed since the last append), routes the new records in, persists
+/// them, and republishes the ChunkDir and the flat file.
 fn append_job(
     handle: &DatasetHandle,
     name: &str,
@@ -616,7 +617,7 @@ fn append_job(
 ) -> Result<Response, ServeError> {
     let started = Instant::now();
     let options = AppendOptions { max_dirty_fraction };
-    let outcome = handle.with_store(|store| {
+    let outcome = handle.with_store_and_memo(|store, memo| {
         handle.with_publication(|chunk_dir| {
             Ok(ops::append(
                 store,
@@ -626,6 +627,7 @@ fn append_job(
                 &options,
                 Some(chunk_dir),
                 Some(&handle.publication_path()),
+                memo,
             )?)
         })
     })?;

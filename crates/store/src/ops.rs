@@ -78,11 +78,21 @@ pub fn anonymize(
     })
 }
 
-/// Rebuilds the incremental state from `store` in `batch_size`-record
+/// Builds the incremental state from `store` in `batch_size`-record
 /// batches, routes `records` into it, persists them, then republishes every
-/// batch in one pass to `chunk_dir` and `flat_path` (each optional).  The
-/// rebuild marks every batch dirty, and [`ChunkDir`] skips batches whose
-/// bytes did not change, so clean chunk files stay untouched.
+/// batch in one pass to `chunk_dir` and `flat_path` (each optional).  Every
+/// batch is delivered, and [`ChunkDir`] skips batches whose bytes did not
+/// change, so clean chunk files stay untouched.
+///
+/// `memo` carries the build across calls: the build moves over every run of
+/// the previous one that a fresh build would reproduce (see
+/// [`IncrementalPipeline::build_reusing`]), so over an append-only store
+/// only the tail batch is rebuilt.  The append changes one batch; a copy of
+/// its run is taken before and put back after the publication commits, so
+/// the memo left behind is exactly the build of the store as it was before
+/// this append.  On any error the memo is dropped and the next call
+/// rebuilds everything.  Pass `&mut None` to build from scratch.
+#[allow(clippy::too_many_arguments)]
 pub fn append(
     store: &mut Store,
     config: &DisassociationConfig,
@@ -91,21 +101,33 @@ pub fn append(
     options: &AppendOptions,
     chunk_dir: Option<&mut ChunkDir>,
     flat_path: Option<&Path>,
+    memo: &mut Option<IncrementalPipeline>,
 ) -> Result<AppendOutcome, OpsError> {
-    let mut pipeline = IncrementalPipeline::build(config.clone(), &mut store.source(batch_size))?;
+    let mut source = store.source(batch_size);
+    let mut pipeline =
+        IncrementalPipeline::build_reusing(config.clone(), &mut source, memo.take())?;
+    let base = pipeline
+        .append_target(records)
+        .map(|i| (i, pipeline.batches()[i].clone()));
     let outcome = pipeline.append_with(records, options);
     store.append_batch(records)?;
     store.flush()?;
     if let Some(path) = flat_path {
         publish_flat(path, config, chunk_dir, |sinks| pipeline.publish_all(sinks))?;
     } else if let Some(dir) = chunk_dir {
+        dir.begin_full_publish();
         pipeline.publish_all(dir)?;
+    }
+    if let Some((i, run)) = base {
+        pipeline.replace_batch(i, run);
+        *memo = Some(pipeline);
     }
     Ok(outcome)
 }
 
-/// Runs `publish` into `<flat_path>.partial` (teed with `chunk_dir`), then
-/// commits the flat file; removes the partial on error.
+/// Runs `publish` into `<flat_path>.partial` (teed with `chunk_dir`, as a
+/// full publication: see [`ChunkDir::begin_full_publish`]), then commits the
+/// flat file; removes the partial on error.
 fn publish_flat<T>(
     flat_path: &Path,
     config: &DisassociationConfig,
@@ -118,6 +140,7 @@ fn publish_flat<T>(
             JsonChunksSink::create(&partial, config).map_err(disassociation::Error::Sink)?;
         let mut sinks = MultiSink::new();
         if let Some(dir) = chunk_dir {
+            dir.begin_full_publish();
             sinks.push(dir);
         }
         sinks.push(&mut flat);
@@ -240,6 +263,7 @@ mod tests {
             &AppendOptions::default(),
             Some(&mut chunks),
             Some(&flat),
+            &mut None,
         )
         .unwrap();
         assert_eq!(outcome.appended_records, 5);
@@ -249,6 +273,104 @@ mod tests {
         assert_eq!(published.total_records(), 45);
         assert_eq!(chunks.combined_dataset().unwrap().unwrap(), published);
         assert!(!partial_path(&flat).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_full_publish_with_fewer_batches_drops_the_stale_ones() {
+        let dir = tmpdir("fewer_batches");
+        let flat = dir.join("pub.chunks.json");
+        let d = dataset(60);
+        let mut chunks = ChunkDir::open(dir.join("chunks")).unwrap();
+        for batch in [20, 60] {
+            let mut source = DatasetSource::new(&d, batch);
+            anonymize(&mut source, &config(), 1, Some(&mut chunks), &flat).unwrap();
+        }
+        assert_eq!(chunks.manifest().batches.len(), 1);
+        let published: disassociation::DisassociatedDataset =
+            serde_json::from_slice(&std::fs::read(&flat).unwrap()).unwrap();
+        assert_eq!(chunks.combined_dataset().unwrap().unwrap(), published);
+        let reopened = ChunkDir::open(dir.join("chunks")).unwrap();
+        assert_eq!(reopened.manifest(), chunks.manifest());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One store per side: appends through a memo on the left, from
+    /// scratch on the right.
+    fn twin_stores(dir: &Path, base: &Dataset) -> (Store, Store) {
+        let open = |name: &str| {
+            let mut store = Store::open(dir.join(name), crate::StoreConfig::default()).unwrap();
+            store.append_batch(base.records()).unwrap();
+            store
+        };
+        (open("memo"), open("fresh"))
+    }
+
+    fn append_flat(
+        store: &mut Store,
+        records: &[Record],
+        flat: &Path,
+        memo: &mut Option<IncrementalPipeline>,
+    ) -> Result<Vec<u8>, OpsError> {
+        let options = AppendOptions::default();
+        append(
+            store,
+            &config(),
+            20,
+            records,
+            &options,
+            None,
+            Some(flat),
+            memo,
+        )?;
+        Ok(std::fs::read(flat).unwrap())
+    }
+
+    #[test]
+    fn appends_through_the_memo_publish_the_bytes_of_a_fresh_build() {
+        let dir = tmpdir("memo");
+        let (mut left, mut right) = twin_stores(&dir, &dataset(70));
+        let mut memo = None;
+        for round in 0..4u32 {
+            let delta: Vec<Record> = dataset(7 + round).records().to_vec();
+            let got = append_flat(&mut left, &delta, &dir.join("l.json"), &mut memo).unwrap();
+            let want = append_flat(&mut right, &delta, &dir.join("r.json"), &mut None).unwrap();
+            assert_eq!(got, want, "round {round}");
+            let memo = memo.as_ref().expect("a successful append keeps the memo");
+            assert!(memo.batches().iter().all(|run| run.generation() == 0));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_append_drops_the_memo() {
+        let dir = tmpdir("memo_failed");
+        let (mut left, mut right) = twin_stores(&dir, &dataset(50));
+        let (l, r) = (dir.join("l.json"), dir.join("r.json"));
+        let delta: Vec<Record> = dataset(6).records().to_vec();
+        let mut memo = None;
+        append_flat(&mut left, &delta, &l, &mut memo).unwrap();
+        append_flat(&mut right, &delta, &r, &mut None).unwrap();
+        assert!(memo.is_some());
+
+        disassoc_faults::arm(
+            crate::failpoints::PUBLISH_FLAT_RENAME,
+            disassoc_faults::Policy::error()
+                .once()
+                .when_path_contains(dir.to_str().unwrap()),
+        );
+        let failed = append_flat(&mut left, &delta, &l, &mut memo);
+        disassoc_faults::disarm(crate::failpoints::PUBLISH_FLAT_RENAME);
+        assert!(matches!(failed, Err(OpsError::Store(_))), "{failed:?}");
+        assert!(memo.is_none(), "a failed append must drop the memo");
+        // The failed append persisted its records before the commit failed.
+        right.append_batch(&delta).unwrap();
+
+        let again: Vec<Record> = dataset(9).records().to_vec();
+        assert_eq!(
+            append_flat(&mut left, &again, &l, &mut memo).unwrap(),
+            append_flat(&mut right, &again, &r, &mut None).unwrap()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

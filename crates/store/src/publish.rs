@@ -18,7 +18,9 @@
 //! An incremental append republishes only dirty batches: unchanged batches
 //! keep their old files byte-for-byte (and their manifest entries), which
 //! makes "clean chunks were not rewritten" directly observable from the
-//! file system.
+//! file system.  A full publication ([`ChunkDir::begin_full_publish`], what
+//! every [`crate::ops`] call makes) commits exactly the batches it
+//! delivered: batches of an earlier, larger layout leave the manifest.
 
 use crate::{failpoints, Result, StoreError};
 use disassoc_faults as faults;
@@ -160,6 +162,10 @@ pub struct ChunkDir {
     dir: PathBuf,
     manifest: ChunkManifest,
     staged: Vec<ChunkEntry>,
+    /// Batch indices accepted (staged or skipped) since the last commit.
+    delivered: Vec<usize>,
+    /// Whether the next commit replaces the whole batch set.
+    full: bool,
 }
 
 impl ChunkDir {
@@ -174,6 +180,8 @@ impl ChunkDir {
             dir,
             manifest,
             staged: Vec::new(),
+            delivered: Vec::new(),
+            full: false,
         };
         this.remove_orphans()?;
         Ok(this)
@@ -274,7 +282,22 @@ impl ChunkDir {
         self.manifest.generation + 1
     }
 
+    /// Declares the batches delivered until the next `finish` to be the
+    /// complete publication: that commit drops every committed batch not
+    /// delivered, even when every delivered batch was skipped as
+    /// byte-identical.  Without it a commit only replaces or adds batches,
+    /// the incremental republish of dirty batches.  Anything staged by an
+    /// earlier publish that never finished is discarded.
+    pub fn begin_full_publish(&mut self) {
+        for entry in self.staged.drain(..) {
+            let _ = std::fs::remove_file(self.dir.join(entry.file));
+        }
+        self.delivered.clear();
+        self.full = true;
+    }
+
     fn stage(&mut self, batch: BatchOutput) -> Result<()> {
+        self.delivered.push(batch.batch_index);
         let generation = self.next_generation();
         let file = Self::file_name(batch.batch_index, generation);
         let content = BatchChunks {
@@ -323,12 +346,24 @@ impl ChunkDir {
     }
 
     fn commit(&mut self) -> Result<()> {
-        if self.staged.is_empty() {
+        let delivered = std::mem::take(&mut self.delivered);
+        let stale = |b: &ChunkEntry| !delivered.contains(&b.batch_index);
+        let drop_stale = std::mem::take(&mut self.full) && self.manifest.batches.iter().any(stale);
+        if self.staged.is_empty() && !drop_stale {
             return Ok(());
         }
         let mut next = self.manifest.clone();
         next.generation = self.next_generation();
         let mut replaced: Vec<String> = Vec::new();
+        if drop_stale {
+            next.batches.retain(|b| {
+                let keep = !stale(b);
+                if !keep {
+                    replaced.push(b.file.clone());
+                }
+                keep
+            });
+        }
         for entry in self.staged.drain(..) {
             if let Some(old) = next
                 .batches
@@ -521,6 +556,53 @@ mod tests {
         chunks.accept(batch(1, 21)).unwrap();
         chunks.finish().unwrap();
         assert_eq!(chunks.generations(), vec![(0, 1), (1, 2)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_full_publish_commits_exactly_the_delivered_batches() {
+        let dir = tmpdir("full");
+        let mut chunks = ChunkDir::open(&dir).unwrap();
+        for (i, tag) in [(0, 10), (1, 20), (2, 30)] {
+            chunks.accept(batch(i, tag)).unwrap();
+        }
+        chunks.finish().unwrap();
+        // A publish that failed before its commit left batch 2 staged.
+        chunks.accept(batch(2, 31)).unwrap();
+
+        // Batch 0 is re-delivered byte-identical (skipped), yet the full
+        // publish still commits, dropping batches 1 and 2, their files and
+        // the leftover stage.
+        chunks.begin_full_publish();
+        chunks.accept(batch(0, 10)).unwrap();
+        chunks.finish().unwrap();
+        assert_eq!(chunks.generations(), vec![(0, 1)]);
+        assert_eq!(chunks.manifest().generation, 2);
+        assert_eq!(
+            chunks.combined_dataset().unwrap().unwrap(),
+            output(10).dataset
+        );
+        let files = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("batch-")
+            })
+            .count();
+        assert_eq!(files, 1);
+
+        // A full publish that changes nothing commits nothing.
+        chunks.begin_full_publish();
+        chunks.accept(batch(0, 10)).unwrap();
+        chunks.finish().unwrap();
+        assert_eq!(chunks.manifest().generation, 2);
+
+        // Without it, a commit keeps what it was not given.
+        chunks.accept(batch(1, 20)).unwrap();
+        chunks.finish().unwrap();
+        chunks.accept(batch(0, 11)).unwrap();
+        chunks.finish().unwrap();
+        assert_eq!(chunks.generations(), vec![(0, 4), (1, 3)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

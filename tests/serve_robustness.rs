@@ -14,6 +14,10 @@
 //! 4. **The flat publication commits through the seam**: a fault at the
 //!    flat file's rename fails the job (503 degraded after its retries)
 //!    while the previous publication keeps serving byte-for-byte.
+//! 5. **A failed append leaves nothing stale behind**: an append whose flat
+//!    commit fails built through the memo of the previous append; after
+//!    the restart a degraded dataset needs, the next append publishes the
+//!    bytes of the CLI's rebuild-then-append on the same records.
 //!
 //! The failpoint registry and the obs counters are process-global, so the
 //! tests serialize on one mutex, reset both on entry, and scope every armed
@@ -246,5 +250,83 @@ fn a_failed_flat_commit_degrades_and_keeps_the_previous_publication() {
 
     shutdown.shutdown();
     join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&data_dir).ok();
+}
+
+/// Runs one `disassoc` command line in process.
+fn run_cli(line: &str) {
+    let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+    let cmd = disassoc_cli::Command::parse(&args).expect("valid command line");
+    cmd.run(&mut Vec::new()).expect("command succeeds");
+}
+
+#[test]
+fn an_append_after_a_failed_append_publishes_the_bytes_of_a_rebuild() {
+    let _g = guard();
+    let data_dir = tmpdir("failed_append");
+    let base = quest(450, 60, 9);
+    let deltas: Vec<Dataset> = (10..13).map(|seed| quest(30, 60, seed)).collect();
+    let route = "/datasets/fa/append?k=3&m=2&batch-size=100";
+    let (addr, shutdown, join) = spawn_server(&data_dir, ServeConfig::default());
+    let ingest = client::post(addr, "/datasets/fa/records", &numeric_body(&base)).unwrap();
+    assert_eq!(ingest.status, 200, "{}", ingest.text());
+    let first = client::post(addr, route, &numeric_body(&deltas[0])).unwrap();
+    assert_eq!(first.status, 200, "{}", first.text());
+
+    // The second append persists its records, then fails to commit the
+    // flat file; its job degrades the dataset.
+    faults::arm(
+        failpoints::PUBLISH_FLAT_RENAME,
+        faults::Policy::error().when_path_contains(data_dir.to_str().unwrap()),
+    );
+    let failed = client::post(addr, route, &numeric_body(&deltas[1])).unwrap();
+    assert_eq!(failed.status, 503, "{}", failed.text());
+    faults::disarm_all();
+    // It built through the memo of the first append: 450 records at batch
+    // size 100 leave 4 full batches to reuse.
+    let metrics = client::get(addr, "/metrics").unwrap().text();
+    assert_eq!(counter_value(&metrics, "incr.batches_reused"), 4);
+    // A degraded dataset takes writes again only after a restart.
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+
+    let (addr, shutdown, join) = spawn_server(&data_dir, ServeConfig::default());
+    let next = client::post(addr, route, &numeric_body(&deltas[2])).unwrap();
+    assert_eq!(next.status, 200, "{}", next.text());
+    let served = client::get(addr, "/datasets/fa/chunks").unwrap();
+    assert_eq!(served.status, 200);
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+
+    // The CLI rebuilds from the store on every append: the same records
+    // (the failed append's included) give the same bytes.
+    let cli_dir = data_dir.join("cli");
+    std::fs::create_dir_all(&cli_dir).unwrap();
+    let store = cli_dir.join("store");
+    let prefix = cli_dir.join("published");
+    let input = |name: &str, dataset: &Dataset| {
+        let path = cli_dir.join(name);
+        transact::io::write_numeric_transactions_path(dataset, &path).unwrap();
+        path.display().to_string()
+    };
+    run_cli(&format!(
+        "ingest --input {} --store {}",
+        input("base.dat", &base),
+        store.display()
+    ));
+    for (i, delta) in deltas.iter().enumerate() {
+        run_cli(&format!(
+            "append --input {} --store {} --k 3 --m 2 --batch-size 100 \
+             --max-dirty-frac 1 --out-prefix {}",
+            input(&format!("delta{i}.dat"), delta),
+            store.display(),
+            prefix.display()
+        ));
+    }
+    let cli_bytes = std::fs::read(prefix.with_extension("chunks.json")).unwrap();
+    assert!(
+        served.body == cli_bytes,
+        "the append after a failed one must publish the bytes of a rebuild"
+    );
     std::fs::remove_dir_all(&data_dir).ok();
 }

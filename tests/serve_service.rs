@@ -283,3 +283,131 @@ fn full_per_dataset_queues_answer_503_with_retry_after() {
     shutdown.shutdown();
     join.join().unwrap().unwrap();
 }
+
+/// One counter's value from the daemon's `GET /metrics` JSON.
+fn counter(addr: SocketAddr, name: &str) -> u64 {
+    let metrics = client::get(addr, "/metrics").unwrap();
+    let value: serde_json::Value = serde_json::from_slice(&metrics.body).unwrap();
+    match value.get("counters").and_then(|c| c.get(name)) {
+        Some(serde_json::Value::Int(n)) => *n as u64,
+        other => panic!("counter {name} missing from /metrics: {other:?}"),
+    }
+}
+
+/// Appends served through the daemon's memo of its last incremental build
+/// publish exactly the bytes of the same `disassoc append` calls, each of
+/// which rebuilds from the store — and after the first append every full
+/// batch is reused instead of rebuilt.
+#[test]
+fn served_appends_are_byte_identical_to_the_cli_append_path() {
+    let base = quest(650, 80, 21);
+    let deltas: Vec<Dataset> = (22..25).map(|seed| quest(40, 80, seed)).collect();
+    let extra = quest(120, 80, 25);
+    let last = quest(30, 80, 26);
+    let append_route = "/datasets/d/append?k=3&m=2&batch-size=100";
+
+    let data_dir = tmpdir("appends_serve");
+    let (addr, shutdown, join) = spawn_server(&data_dir, ServeConfig::default());
+    let post = |path: &str, body: &[u8]| {
+        let resp = client::post(addr, path, body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+    };
+    // Built and reused batch counts of one append.
+    let append = |delta: &Dataset| {
+        let (built, reused) = (
+            counter(addr, "incr.batches_built"),
+            counter(addr, "incr.batches_reused"),
+        );
+        post(append_route, &numeric_body(delta));
+        (
+            counter(addr, "incr.batches_built") - built,
+            counter(addr, "incr.batches_reused") - reused,
+        )
+    };
+    post("/datasets/d/records", &numeric_body(&base));
+    post("/datasets/d/anonymize?k=3&m=2&batch-size=100", b"");
+    // 650 records: the first append builds all 7 batches.
+    assert_eq!(append(&deltas[0]), (7, 0));
+    // 690 records against a memo of 650: the 6 full batches are reused,
+    // only the tail is rebuilt.
+    assert_eq!(append(&deltas[1]), (1, 6));
+    // 730 against 690: the tail filled up and batch 7 is new.
+    assert_eq!(append(&deltas[2]), (2, 6));
+    post("/datasets/d/records", &numeric_body(&extra));
+    // 890 against 730: batch 7 filled up and batch 8 is new.
+    assert_eq!(append(&last), (2, 7));
+    let fetched = client::get(addr, "/datasets/d/chunks").unwrap();
+    assert_eq!(fetched.status, 200);
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+
+    // The CLI on the same records, each append a separate rebuild.
+    let cli_dir = tmpdir("appends_cli");
+    let store = cli_dir.join("store");
+    let prefix = cli_dir.join("published");
+    let write = |name: &str, dataset: &Dataset| {
+        let path = cli_dir.join(name);
+        transact::io::write_numeric_transactions_path(dataset, &path).unwrap();
+        path
+    };
+    let ingest = |path: PathBuf| {
+        run_cli(&format!(
+            "ingest --input {} --store {}",
+            path.display(),
+            store.display()
+        ));
+    };
+    let append = |path: PathBuf| {
+        run_cli(&format!(
+            "append --input {} --store {} --k 3 --m 2 --batch-size 100 \
+             --max-dirty-frac 1 --out-prefix {}",
+            path.display(),
+            store.display(),
+            prefix.display()
+        ));
+    };
+    ingest(write("base.dat", &base));
+    for (i, delta) in deltas.iter().enumerate() {
+        append(write(&format!("delta{i}.dat"), delta));
+    }
+    ingest(write("extra.dat", &extra));
+    append(write("last.dat", &last));
+    let cli_bytes = std::fs::read(prefix.with_extension("chunks.json")).unwrap();
+    assert!(
+        fetched.body == cli_bytes,
+        "served appends and CLI appends must publish byte-identical files"
+    );
+}
+
+/// A full re-publication with fewer batches replaces the whole chunk set:
+/// a term read never serves a cluster of the earlier, larger layout.
+#[test]
+fn a_republication_with_fewer_batches_leaves_no_stale_chunks() {
+    let dataset = quest(300, 60, 31);
+    let data_dir = tmpdir("fewer_batches");
+    let (addr, shutdown, join) = spawn_server(&data_dir, ServeConfig::default());
+    let post = |path: &str, body: &[u8]| {
+        let resp = client::post(addr, path, body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+    };
+    post("/datasets/d/records", &numeric_body(&dataset));
+    post("/datasets/d/anonymize?k=3&m=2&batch-size=20", b"");
+    post("/datasets/d/anonymize?k=3&m=2", b"");
+
+    let flat = client::get(addr, "/datasets/d/chunks").unwrap();
+    assert_eq!(flat.status, 200);
+    let flat: disassociation::DisassociatedDataset = serde_json::from_slice(&flat.body).unwrap();
+    let term = dataset.records()[0].iter().next().unwrap().raw();
+    let read = client::get(addr, &format!("/datasets/d/chunks?term={term}")).unwrap();
+    assert_eq!(read.status, 200, "{}", read.text());
+    let read: disassociation::DisassociatedDataset = serde_json::from_slice(&read.body).unwrap();
+    assert!(!read.clusters.is_empty());
+    for cluster in &read.clusters {
+        assert!(
+            flat.clusters.contains(cluster),
+            "a term read served a cluster the flat publication does not hold"
+        );
+    }
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+}
